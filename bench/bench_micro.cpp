@@ -33,7 +33,6 @@
 #include "behaviot/core/checkpoint.hpp"
 #include "behaviot/core/model_handle.hpp"
 #include "behaviot/core/pipeline.hpp"
-#include "behaviot/core/serialize.hpp"
 #include "behaviot/core/serialize_binary.hpp"
 #include "behaviot/core/watch_engine.hpp"
 #include "behaviot/flow/assembler.hpp"
@@ -256,6 +255,15 @@ void BM_ObsTraceSpanPair(benchmark::State& state) {
 }
 BENCHMARK(BM_ObsTraceSpanPair)->Arg(0)->Arg(1);
 
+/// The watch benches' model set: the trained image without user-action
+/// forests, which the daemon never consults, so the checkpoint section's
+/// embedded model image stays comparable with earlier records.
+BehaviorModelSet watch_models_of(const std::string& image) {
+  BehaviorModelSet models = load_models_binary(binio::as_bytes(image));
+  models.user_actions = {};
+  return models;
+}
+
 /// A trained model set shared by the model-I/O benchmarks: real periodic
 /// models + PFSM from the standard datasets, built once per process.
 const BehaviorModelSet& bench_models() {
@@ -274,29 +282,6 @@ const BehaviorModelSet& bench_models() {
   }();
   return models;
 }
-
-void BM_ModelSaveText(benchmark::State& state) {
-  const BehaviorModelSet& models = bench_models();
-  for (auto _ : state) {
-    std::ostringstream os;
-    save_models(os, models);
-    benchmark::DoNotOptimize(os.str());
-  }
-}
-BENCHMARK(BM_ModelSaveText);
-
-void BM_ModelLoadText(benchmark::State& state) {
-  std::ostringstream os;
-  save_models(os, bench_models());
-  const std::string text = os.str();
-  for (auto _ : state) {
-    std::istringstream is(text);
-    benchmark::DoNotOptimize(load_models(is));
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(text.size()));
-}
-BENCHMARK(BM_ModelLoadText);
 
 void BM_ModelSaveBinary(benchmark::State& state) {
   const BehaviorModelSet& models = bench_models();
@@ -413,9 +398,7 @@ PipelineTiming time_pipeline(std::size_t threads, bool with_metrics,
     obs::health().reset();
   }
   obs::MetricsRegistry::set_enabled(false);
-  std::ostringstream os;
-  save_models(os, models);
-  t.serialized = os.str();
+  t.serialized = save_models_binary(models);
   return t;
 }
 
@@ -712,45 +695,29 @@ bool write_pipeline_bench_json(const std::string& path) {
      << "    \"on_over_off\": "
      << (chaotic.train_ms + chaotic.classify_ms) / parallel_total << ",\n"
      << "    \"faults_injected\": " << chaotic.faults_injected << "\n  },\n";
-  // Model-I/O trajectory: the text format vs the .bbm binary format on the
-  // same trained set. `load_speedup` compares the text parse against the
-  // zero-copy view load — the "one read + in-place pointer walk" the layout
-  // exists for (acceptance bar >= 10x) — and `materialize_speedup` against
-  // the fully materialized binary load; `round_trip_identical` pins the
-  // conversion path (text -> binary -> text, byte-identical).
+  // Model-I/O trajectory of the .bbm format on the trained set: save, the
+  // fully materialized load, and the zero-copy view load (the "one read +
+  // in-place pointer walk" the layout exists for); `round_trip_identical`
+  // pins load -> save byte identity.
   {
     using Clock = std::chrono::steady_clock;
     const auto ms = [](Clock::duration d) {
       return std::chrono::duration<double, std::milli>(d).count();
     };
-    std::istringstream seed_is(serial.serialized);
-    const BehaviorModelSet io_models = load_models(seed_is);
-    const std::string binary = save_models_binary(io_models);
-    const std::span<const std::uint8_t> binary_bytes(
-        reinterpret_cast<const std::uint8_t*>(binary.data()), binary.size());
+    const std::string& binary = serial.serialized;
+    const std::span<const std::uint8_t> binary_bytes =
+        binio::as_bytes(binary);
+    const BehaviorModelSet io_models = load_models_binary(binary_bytes);
     constexpr int kIters = 50;
     const auto t0 = Clock::now();
     for (int i = 0; i < kIters; ++i) {
-      std::ostringstream os2;
-      save_models(os2, io_models);
-      benchmark::DoNotOptimize(os2);
+      benchmark::DoNotOptimize(save_models_binary(io_models));
     }
     const auto t1 = Clock::now();
     for (int i = 0; i < kIters; ++i) {
-      std::istringstream is2(serial.serialized);
-      benchmark::DoNotOptimize(load_models(is2));
-    }
-    const auto t2 = Clock::now();
-    for (int i = 0; i < kIters; ++i) {
-      benchmark::DoNotOptimize(save_models_binary(io_models));
-    }
-    const auto t3 = Clock::now();
-    for (int i = 0; i < kIters; ++i) {
       benchmark::DoNotOptimize(load_models_binary(binary_bytes));
     }
-    const auto t4 = Clock::now();
-    // The zero-copy load the .bbm layout exists for: open (header + CRC)
-    // plus an in-place walk of every periodic record, no per-model heap.
+    const auto t2 = Clock::now();
     double view_acc = 0.0;
     for (int i = 0; i < kIters; ++i) {
       const BinaryModelView view = BinaryModelView::open(binary_bytes);
@@ -759,34 +726,21 @@ bool write_pipeline_bench_json(const std::string& path) {
       }
       benchmark::DoNotOptimize(view_acc);
     }
-    const auto t5 = Clock::now();
-    const double text_save_ms = ms(t1 - t0) / kIters;
-    const double text_load_ms = ms(t2 - t1) / kIters;
-    const double binary_save_ms = ms(t3 - t2) / kIters;
-    const double binary_load_ms = ms(t4 - t3) / kIters;
-    const double view_load_ms = ms(t5 - t4) / kIters;
-    std::ostringstream round;
-    save_models(round, load_models_binary(binary_bytes));
-    const bool round_trip = round.str() == serial.serialized;
+    const auto t3 = Clock::now();
+    const double binary_save_ms = ms(t1 - t0) / kIters;
+    const double binary_load_ms = ms(t2 - t1) / kIters;
+    const double view_load_ms = ms(t3 - t2) / kIters;
+    const bool round_trip = save_models_binary(io_models) == binary;
     os << "  \"model_io\": {\n"
-       << "    \"text_bytes\": " << serial.serialized.size() << ",\n"
        << "    \"binary_bytes\": " << binary.size() << ",\n"
-       << "    \"text_save_ms\": " << text_save_ms << ",\n"
-       << "    \"text_load_ms\": " << text_load_ms << ",\n"
        << "    \"binary_save_ms\": " << binary_save_ms << ",\n"
        << "    \"binary_load_ms\": " << binary_load_ms << ",\n"
        << "    \"binary_view_load_ms\": " << view_load_ms << ",\n"
-       << "    \"load_speedup\": " << text_load_ms / view_load_ms << ",\n"
-       << "    \"materialize_speedup\": " << text_load_ms / binary_load_ms
-       << ",\n"
        << "    \"round_trip_identical\": "
        << (round_trip ? "true" : "false") << "\n  },\n";
-    std::cerr << "BENCH model_io: text load " << text_load_ms
-              << " ms vs binary load " << binary_load_ms
-              << " ms (materialized, "
-              << text_load_ms / binary_load_ms << "x) / view load "
-              << view_load_ms << " ms (zero-copy, "
-              << text_load_ms / view_load_ms << "x), round trip "
+    std::cerr << "BENCH model_io: binary load " << binary_load_ms
+              << " ms (materialized) / view load " << view_load_ms
+              << " ms (zero-copy), round trip "
               << (round_trip ? "identical" : "DIVERGED") << "\n";
   }
   // Telemetry: what the live-daemon surfaces cost. The on-run streams the
@@ -799,8 +753,7 @@ bool write_pipeline_bench_json(const std::string& path) {
   // the populated registry left behind by the on-run.
   bool telemetry_ok = true;
   {
-    std::istringstream seed_is(serial.serialized);
-    const BehaviorModelSet watch_models = load_models(seed_is);
+    const BehaviorModelSet watch_models = watch_models_of(serial.serialized);
     const auto eval =
         testbed::Datasets::routine_week(/*seed=*/131, /*days=*/0.2);
     const std::string dir =
@@ -873,8 +826,7 @@ bool write_pipeline_bench_json(const std::string& path) {
   // the final image rides along for the resume-time budget.
   bool checkpoint_ok = true;
   {
-    std::istringstream seed_is(serial.serialized);
-    const BehaviorModelSet watch_models = load_models(seed_is);
+    const BehaviorModelSet watch_models = watch_models_of(serial.serialized);
     const auto eval =
         testbed::Datasets::routine_week(/*seed=*/131, /*days=*/0.2);
     const std::string dir =

@@ -3,10 +3,9 @@
 // Emits the exact inputs tests/test_parser_fuzz.cpp generates in memory
 // (same seed → same bytes), so a harness failure can be debugged standalone:
 //
-//   $ ./gen_fuzz_corpus --out /tmp/corpus [--seed 3192615183] [--per-kind 64]
-//   $ ls /tmp/corpus
-//   pcap_000.pcap … dns_000.bin … tls_000.bin … models_000.txt …
-//   models_000.bbm … MANIFEST
+//   $ ./gen_fuzz_corpus --out corpus [--seed 3192549647] [--per-kind 64]
+//   $ ls corpus
+//   pcap_000.pcap … dns_000.bin … tls_000.bin … models_000.bbm … MANIFEST
 //
 // The pcap files cycle through all four magic variants (native/swapped ×
 // µs/ns), so they double as interop samples for tcpdump/wireshark.
@@ -69,15 +68,11 @@ int main(int argc, char** argv) {
     write_file(dir / numbered("dns", i, ".bin"), dns.data(), dns.size());
     const auto& tls = corpus.tls[i];
     write_file(dir / numbered("tls", i, ".bin"), tls.data(), tls.size());
-    const auto& model = corpus.models[i];
-    write_file(dir / numbered("models", i, ".txt"), model.data(),
-               model.size());
     const auto& bbm = corpus.binary_models[i];
     write_file(dir / numbered("models", i, ".bbm"), bbm.data(), bbm.size());
-    bytes += pcap.size() + dns.size() + tls.size() + model.size() +
-             bbm.size();
+    bytes += pcap.size() + dns.size() + tls.size() + bbm.size();
   }
-  std::printf("wrote %zu files (%zu bytes) to %s (seed %llu)\n", 5 * per_kind,
+  std::printf("wrote %zu files (%zu bytes) to %s (seed %llu)\n", 4 * per_kind,
               bytes, out_dir.c_str(),
               static_cast<unsigned long long>(seed));
   return 0;

@@ -29,7 +29,7 @@
 #include <utility>
 #include <vector>
 
-#include "behaviot/core/serialize.hpp"
+#include "behaviot/core/serialize_binary.hpp"
 
 namespace behaviot {
 

@@ -38,6 +38,7 @@
 #include <span>
 #include <string>
 
+#include "behaviot/core/serialize_binary.hpp"
 #include "behaviot/core/watch_engine.hpp"
 #include "behaviot/net/parse_policy.hpp"
 #include "behaviot/obs/health.hpp"

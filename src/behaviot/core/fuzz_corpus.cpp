@@ -1,9 +1,7 @@
 #include "behaviot/core/fuzz_corpus.hpp"
 
 #include <algorithm>
-#include <sstream>
 
-#include "behaviot/core/serialize.hpp"
 #include "behaviot/core/serialize_binary.hpp"
 #include "behaviot/deviation/short_term_metric.hpp"
 #include "behaviot/net/dns.hpp"
@@ -293,11 +291,7 @@ Corpus make_corpus(std::uint64_t seed, std::size_t per_kind) {
                              random_domain(fork)));
     corpus.tls.push_back(make_tls_client_hello(random_domain(fork)));
 
-    const BehaviorModelSet model_set = random_models(fork);
-    std::ostringstream model_text;
-    save_models(model_text, model_set);
-    corpus.models.push_back(model_text.str());
-    corpus.binary_models.push_back(save_models_binary(model_set));
+    corpus.binary_models.push_back(save_models_binary(random_models(fork)));
   }
   return corpus;
 }

@@ -23,10 +23,8 @@ namespace behaviot::fuzz {
 std::vector<Packet> random_packets(Rng& rng, std::size_t count);
 
 /// Small randomized model set (periodic models incl. absence trailers,
-/// user-action forests, PFSM, thresholds) whose save_models text and
-/// save_models_binary image exercise every section of both formats. (The
-/// text format omits the forests by design; the binary format carries
-/// them.)
+/// user-action forests, PFSM, thresholds) whose save_models_binary image
+/// exercises every section of the `.bbm` format.
 BehaviorModelSet random_models(Rng& rng);
 
 /// Rewrites a native little-endian µs pcap byte stream (as produced by
@@ -41,13 +39,11 @@ std::vector<std::uint8_t> pcap_variant(const std::vector<std::uint8_t>& bytes,
 /// bounded, so repeated application cannot balloon the input.
 void mutate(Rng& rng, std::vector<std::uint8_t>& bytes);
 
-/// A full valid corpus for all five formats (model files in both the text
-/// and the binary `.bbm` encoding of the same model sets).
+/// A full valid corpus for all four formats (model files as `.bbm` images).
 struct Corpus {
   std::vector<std::vector<std::uint8_t>> pcaps;
   std::vector<std::vector<std::uint8_t>> dns;
   std::vector<std::vector<std::uint8_t>> tls;
-  std::vector<std::string> models;
   std::vector<std::string> binary_models;
 };
 

@@ -1,12 +1,10 @@
 #include "behaviot/core/serialize_binary.hpp"
 
 #include <bit>
-#include <cctype>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <limits>
-#include <ostream>
 #include <system_error>
 #include <utility>
 #include <vector>
@@ -14,6 +12,7 @@
 #include "behaviot/core/binary_io.hpp"
 #include "behaviot/flow/features.hpp"
 #include "behaviot/obs/metrics.hpp"
+#include "behaviot/obs/snapshot.hpp"
 
 namespace behaviot {
 namespace {
@@ -330,23 +329,18 @@ std::string save_models_binary(const BehaviorModelSet& models) {
   return binio::build_image(kBbmFormat, sections);
 }
 
-void save_models_binary(std::ostream& os, const BehaviorModelSet& models) {
-  const std::string bytes = save_models_binary(models);
-  os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-}
-
 void save_models_binary_file(const std::string& path,
                              const BehaviorModelSet& models) {
-  std::ofstream file(path, std::ios::binary | std::ios::trunc);
-  if (!file) throw SerializationError("cannot open for write: " + path);
-  save_models_binary(file, models);
-  if (!file) throw SerializationError("write failed: " + path);
+  std::string error;
+  if (!obs::write_file_atomic(path, save_models_binary(models), &error)) {
+    throw SerializationError("cannot write models: " + error);
+  }
 }
 
 BehaviorModelSet load_models_binary(std::span<const std::uint8_t> bytes,
                                     ParsePolicy policy, ParseStats* stats) {
   // Header, section table and CRC trailer are structural: parse_layout
-  // throws under either policy, like the text magic line.
+  // throws under either policy.
   const ImageLayout layout = parse_layout(bytes);
   if (!layout.crc_ok && policy == ParsePolicy::kStrict) {
     throw_crc_mismatch(layout);
@@ -424,16 +418,6 @@ BehaviorModelSet load_models_binary_file(const std::string& path,
     throw SerializationError("read failed: " + path);
   }
   return load_models_binary(bytes, policy, stats);
-}
-
-bool is_binary_model_path(const std::string& path) {
-  static constexpr char kExt[] = ".bbm";
-  if (path.size() < 4) return false;
-  for (std::size_t i = 0; i < 4; ++i) {
-    const char c = path[path.size() - 4 + i];
-    if (std::tolower(static_cast<unsigned char>(c)) != kExt[i]) return false;
-  }
-  return true;
 }
 
 // ---------------------------------------------------------------------------

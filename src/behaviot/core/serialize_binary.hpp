@@ -1,12 +1,14 @@
-// Versioned binary behavior-model format (`.bbm`) — the fleet-scale model
-// store counterpart of the text serializer in core/serialize.hpp.
+// Versioned binary behavior-model format (`.bbm`) — the one model file
+// format (§7.2: "models based on lab experiments can be pushed into
+// home-network-based deployments"). `train --out`, every `--models` path,
+// `watch --publish-models` and the checkpoint's embedded model image all
+// use it.
 //
-// Motivation (ROADMAP "fleet scale"): a fleet of N homes sharing a model
-// store loads models homes × retrain-generations times; the hexfloat text
-// format pays stream tokenization + float parsing per value. The binary
-// format is laid out so a load is one read plus an in-place pointer walk:
+// The layout is chosen so a load is one read plus an in-place pointer walk:
 // POD arrays (secondary periods, tree node distributions) are copied with a
 // single memcpy each, strings need exactly one pass, and no tokenizer runs.
+// Doubles are stored as raw IEEE-754 bits, so every value round-trips
+// exactly and no locale can touch the bytes.
 //
 // Layout (all integers little-endian, doubles raw IEEE-754 binary64 LE):
 //
@@ -44,36 +46,51 @@
 // its own index and < n_nodes (the trainer lays children out after their
 // parent, so forward-only edges also rule out cycles).
 //
-// `str` is u32 length + raw bytes. The forests section is binary-only: the
-// text format deliberately omits user-action forests, so text → binary →
-// text round trips stay byte-identical while the binary store can carry the
-// full model set a fleet shares.
+// `str` is u32 length + raw bytes.
 //
-// Parse policy matches the text loader (DESIGN.md §5c/§5i): the header
-// (magic, version, flags, section table, structural sizes) must always
-// parse — failing there throws SerializationError in either policy, with
-// the absolute byte offset of the damage. After the header, kStrict throws
-// at the first malformed section; kLenient drops the damaged section
-// (counted in stats->sections_dropped), then — unlike the text loader,
-// which has no framing to resynchronize on — uses the section table to
-// continue with the next section. Every count is capped against the bytes
-// remaining in its section before any reserve(), so a corrupt count can
-// never drive an allocation larger than the input.
+// Parse policy (DESIGN.md §5c/§5i): the header (magic, version, flags,
+// section table, structural sizes) must always parse — failing there throws
+// SerializationError in either policy, with the absolute byte offset of the
+// damage. After the header, kStrict throws at the first malformed section;
+// kLenient drops the damaged section (counted in stats->sections_dropped)
+// and uses the section table to continue with the next section. Every
+// count is capped against the bytes remaining in its section before any
+// reserve(), so a corrupt count can never drive an allocation larger than
+// the input.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <iosfwd>
 #include <optional>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "behaviot/core/model_set.hpp"
-#include "behaviot/core/serialize.hpp"
 #include "behaviot/net/parse_policy.hpp"
 
 namespace behaviot {
+
+/// Raised on malformed or version-incompatible model and checkpoint images
+/// (with the absolute byte offset of the damage) and on file I/O failures
+/// (no byte position: offset() is kNoOffset).
+class SerializationError : public std::runtime_error {
+ public:
+  static constexpr std::size_t kNoOffset = static_cast<std::size_t>(-1);
+
+  using std::runtime_error::runtime_error;
+  SerializationError(const std::string& what, std::size_t offset)
+      : std::runtime_error(what + " (at byte " + std::to_string(offset) + ")"),
+        offset_(offset) {}
+
+  /// Byte offset of the malformation, or kNoOffset when unknown.
+  [[nodiscard]] std::size_t offset() const { return offset_; }
+
+ private:
+  std::size_t offset_ = kNoOffset;
+};
 
 inline constexpr std::uint16_t kBinaryModelFormatVersion = 1;
 /// "BBM1" when read as little-endian u32.
@@ -94,7 +111,10 @@ inline constexpr std::uint32_t kSectionForests = 5;
 /// absent_generations), user-action forests, PFSM, thresholds, training
 /// traces — to the binary format.
 [[nodiscard]] std::string save_models_binary(const BehaviorModelSet& models);
-void save_models_binary(std::ostream& os, const BehaviorModelSet& models);
+/// Writes the image to `path` atomically (temp file + rename): a process
+/// killed mid-write, or a reader racing it, sees the previous complete file
+/// or the new one, never a torn prefix. Throws SerializationError on I/O
+/// failure.
 void save_models_binary_file(const std::string& path,
                              const BehaviorModelSet& models);
 
@@ -107,11 +127,6 @@ BehaviorModelSet load_models_binary(std::span<const std::uint8_t> bytes,
 BehaviorModelSet load_models_binary_file(
     const std::string& path, ParsePolicy policy = ParsePolicy::kStrict,
     ParseStats* stats = nullptr);
-
-/// True when `path` names a binary model file by extension (".bbm",
-/// case-insensitive) — the dispatch rule save_models_file/load_models_file
-/// use to route between the text and binary formats.
-[[nodiscard]] bool is_binary_model_path(const std::string& path);
 
 /// One periodic model decoded in place from a .bbm image: scalars by value,
 /// strings as views into the image. Valid only while the image bytes

@@ -7,7 +7,7 @@
 #include <string>
 #include <utility>
 
-#include "behaviot/core/serialize.hpp"
+#include "behaviot/core/serialize_binary.hpp"
 #include "behaviot/obs/health.hpp"
 #include "behaviot/obs/metrics.hpp"
 #include "behaviot/obs/span.hpp"
@@ -270,7 +270,7 @@ void WatchEngine::join_retrain_and_swap() {
     // against; persist exactly that. Publishing is best-effort — a full
     // disk must not take down the monitoring stream.
     try {
-      save_models_file(options_.publish_models_path, *generation_);
+      save_models_binary_file(options_.publish_models_path, *generation_);
       obs::counter("watch.models_published").inc();
     } catch (const std::exception& e) {
       obs::health().degrade("watch.engine",

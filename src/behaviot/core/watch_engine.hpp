@@ -64,8 +64,8 @@ struct WatchOptions {
   /// Reorder horizon and the open-flow/buffered-packet memory caps.
   StreamingAssemblerOptions assembler;
   /// When non-empty, every retrained generation is written here right after
-  /// the hot swap (format by extension — ".bbm" binary, otherwise text), so
-  /// a fleet's model store always holds the generation currently scoring.
+  /// the hot swap as a `.bbm` image (atomic replace), so a fleet's model
+  /// store always holds the generation currently scoring.
   /// A write failure degrades health but never stops the stream.
   std::string publish_models_path;
 };
@@ -126,9 +126,17 @@ class WatchEngine {
     sink_ = std::move(sink);
   }
 
-  /// Feeds a chunk of captured packets (any chunking; boundaries carry no
-  /// meaning) and evaluates every window the stream clock has closed.
-  /// No-op once done().
+  /// Feeds a chunk of captured packets and evaluates every window the
+  /// stream clock has closed. No-op once done().
+  ///
+  /// Output is deterministic for identical chunking, not for any chunking:
+  /// sealed flows take their domain names from the resolver state when a
+  /// chunk is drained, so where a DNS/SNI binding arrives after (or is
+  /// re-resolved during) the flows it names, chunk boundaries can move an
+  /// alert by a window. Callers that must reproduce a run feed the same
+  /// chunks — the CLI ingests fixed 1024-packet chunks and --resume
+  /// restarts at a chunk boundary. Where every binding precedes its flows,
+  /// chunking carries no meaning (streaming ≡ batch; DESIGN.md §5h).
   void ingest(std::span<const Packet> packets);
 
   /// End of stream: flushes the assembler and evaluates all remaining

@@ -46,7 +46,7 @@ struct ParseStats {
   /// Records whose captured payload is shorter than the IP-declared length
   /// (snap-length truncation). The packet is still produced, clamped.
   std::size_t snapped_payloads = 0;
-  /// Model-file sections abandoned by a lenient load (see load_models).
+  /// Model-file sections abandoned by a lenient load (see load_models_binary).
   std::size_t sections_dropped = 0;
 
   [[nodiscard]] std::size_t skipped() const {

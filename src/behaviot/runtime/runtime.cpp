@@ -127,6 +127,15 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
     for (std::size_t i = begin; i < end; ++i) fn(i);
     return;
   }
+  // The pool runs one job at a time. A second outside submitter (say, the
+  // next retrain while one the watchdog abandoned is still running) would
+  // overwrite job_ and active_ under the first, so it runs its range inline
+  // instead.
+  std::unique_lock<std::mutex> submit(submit_mu_, std::try_to_lock);
+  if (!submit.owns_lock()) {
+    for (std::size_t i = begin; i < end; ++i) fn(i);
+    return;
+  }
 
   Job job;
   job.fn = &fn;

@@ -14,6 +14,10 @@
 //  - Nested calls are safe: a `parallel_for` issued from inside a worker (or
 //    from inside the caller's own chunk) runs serially on that thread rather
 //    than deadlocking on the shared pool.
+//  - Concurrent calls from different outside threads are safe: the pool
+//    serves one job at a time, and a caller that finds it busy runs its
+//    whole range inline on its own thread. Output stays deterministic
+//    because per-index work is thread-invariant either way.
 //  - Exceptions thrown by the body are caught, the remaining chunks are
 //    abandoned, and the first exception is rethrown on the calling thread.
 //
@@ -124,6 +128,9 @@ class ThreadPool {
   RuntimeOptions options_;
   std::vector<std::thread> workers_;
 
+  /// Held by the one outside caller whose job owns the pool; a caller that
+  /// finds it taken runs its range inline.
+  std::mutex submit_mu_;
   std::mutex mu_;
   std::condition_variable work_cv_;  ///< signals a new job generation
   std::condition_variable done_cv_;  ///< signals all workers finished a job

@@ -11,12 +11,11 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
-#include <sstream>
 
 #include "behaviot/analysis/alert_report.hpp"
 #include "behaviot/core/deviation_engine.hpp"
 #include "behaviot/core/pipeline.hpp"
-#include "behaviot/core/serialize.hpp"
+#include "behaviot/core/serialize_binary.hpp"
 #include "behaviot/flow/assembler.hpp"
 #include "behaviot/ml/dataset.hpp"
 #include "behaviot/net/pcap.hpp"
@@ -455,11 +454,8 @@ TEST_F(ChaosPipelineTest, DisabledChaosIsByteIdentical) {
   const BehaviorModelSet retrained = train_clean();
   off.disarm_feature_chaos();
 
-  std::ostringstream a;
-  std::ostringstream b;
-  save_models(a, *models_);
-  save_models(b, retrained);
-  EXPECT_EQ(a.str(), b.str());
+  // The binary image pins every section, user-action forests included.
+  EXPECT_EQ(save_models_binary(*models_), save_models_binary(retrained));
   EXPECT_EQ(off.stats().total(), 0u);
 }
 

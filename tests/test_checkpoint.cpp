@@ -20,7 +20,6 @@
 #include "behaviot/analysis/alert_report.hpp"
 #include "behaviot/core/binary_io.hpp"
 #include "behaviot/core/model_handle.hpp"
-#include "behaviot/core/serialize.hpp"
 #include "behaviot/core/serialize_binary.hpp"
 #include "behaviot/core/watch_engine.hpp"
 #include "behaviot/flow/assembler.hpp"

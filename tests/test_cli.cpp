@@ -101,7 +101,7 @@ TEST_F(CliTest, UnknownCommandPrintsUsage) {
 
 TEST_F(CliTest, FullWorkflow) {
   const std::string pcap = *dir_ + "/idle.pcap";
-  const std::string models = *dir_ + "/models.txt";
+  const std::string models = *dir_ + "/models.bbm";
 
   // simulate
   auto result = run("simulate --dataset idle --days 0.1 --seed 5 --out " +
@@ -141,7 +141,7 @@ TEST_F(CliTest, FullWorkflow) {
 
 TEST_F(CliTest, MetricsFlagWritesJsonAndSummary) {
   const std::string pcap = *dir_ + "/metrics.pcap";
-  const std::string models = *dir_ + "/metrics_models.txt";
+  const std::string models = *dir_ + "/metrics_models.bbm";
   const std::string metrics = *dir_ + "/metrics.json";
   ASSERT_EQ(run("simulate --dataset idle --days 0.1 --seed 7 --out " + pcap)
                 .exit_code,
@@ -184,7 +184,7 @@ TEST_F(CliTest, MetricsFlagWritesPrometheusText) {
 
 TEST_F(CliTest, ShowRejectsUnknownDevice) {
   const std::string pcap = *dir_ + "/idle2.pcap";
-  const std::string models = *dir_ + "/models2.txt";
+  const std::string models = *dir_ + "/models2.bbm";
   ASSERT_EQ(run("simulate --dataset idle --days 0.05 --seed 6 --out " + pcap)
                 .exit_code,
             0);
@@ -199,14 +199,14 @@ TEST_F(CliTest, ShowRejectsUnknownDevice) {
 
 TEST_F(CliTest, TrainRejectsMissingCapture) {
   const auto result =
-      run("train --idle /nonexistent.pcap --window-days 1 --out /tmp/x.txt");
+      run("train --idle /nonexistent.pcap --window-days 1 --out /tmp/x.bbm");
   EXPECT_NE(result.exit_code, 0);
   EXPECT_NE(result.output.find("error"), std::string::npos);
 }
 
 TEST_F(CliTest, TraceFlagWritesChromeJsonWithWorkerLanes) {
   const std::string pcap = *dir_ + "/trace.pcap";
-  const std::string models = *dir_ + "/trace_models.txt";
+  const std::string models = *dir_ + "/trace_models.bbm";
   const std::string trace = *dir_ + "/trace.json";
   ASSERT_EQ(run("simulate --dataset idle --days 0.1 --seed 5 --out " + pcap)
                 .exit_code,
@@ -269,7 +269,7 @@ TEST_F(CliTest, TraceFlagWritesChromeJsonWithWorkerLanes) {
 
 TEST_F(CliTest, ScoreWritesAlertReportAndExplainRendersIt) {
   const std::string idle = *dir_ + "/explain_idle.pcap";
-  const std::string models = *dir_ + "/explain_models.txt";
+  const std::string models = *dir_ + "/explain_models.bbm";
   const std::string outage = *dir_ + "/explain_day30.pcap";
   const std::string report = *dir_ + "/alerts.json";
   ASSERT_EQ(run("simulate --dataset idle --days 0.1 --seed 5 --out " + idle)
@@ -373,31 +373,18 @@ TEST_F(CliTest, MalformedNumericFlagsExitTwoWithUsageError) {
   }
 }
 
-TEST_F(CliTest, ConvertModelsRoundTripsThroughBinary) {
-  const std::string pcap = *dir_ + "/convert.pcap";
-  const std::string models = *dir_ + "/convert_models.txt";
-  const std::string binary = *dir_ + "/convert_models.bbm";
-  const std::string back = *dir_ + "/convert_back.txt";
+TEST_F(CliTest, TrainWritesBinaryModelsAndStrictLoadLocatesDamage) {
+  const std::string pcap = *dir_ + "/bbm.pcap";
+  const std::string binary = *dir_ + "/bbm_models.bbm";
   ASSERT_EQ(run("simulate --dataset idle --days 0.1 --seed 5 --out " + pcap)
                 .exit_code,
             0);
-  ASSERT_EQ(run("train --idle " + pcap + " --window-days 0.1 --out " + models)
-                .exit_code,
-            0);
-
-  auto result = run("convert-models --in " + models + " --out " + binary);
+  auto result =
+      run("train --idle " + pcap + " --window-days 0.1 --out " + binary);
   ASSERT_EQ(result.exit_code, 0) << result.output;
-  EXPECT_NE(result.output.find("converted"), std::string::npos);
-  ASSERT_TRUE(std::filesystem::exists(binary));
   // Binary magic at offset 0.
   EXPECT_EQ(read_file(binary).substr(0, 4), "BBM1");
 
-  result = run("convert-models --in " + binary + " --out " + back);
-  ASSERT_EQ(result.exit_code, 0) << result.output;
-  // Text -> binary -> text is byte-identical: nothing lost, no FP drift.
-  EXPECT_EQ(read_file(back), read_file(models));
-
-  // The binary file is a drop-in for every consumer of --models.
   result = run("score --models " + binary + " --capture " + pcap);
   ASSERT_EQ(result.exit_code, 0) << result.output;
   EXPECT_NE(result.output.find("deviation alerts"), std::string::npos);
@@ -427,8 +414,29 @@ TEST_F(CliTest, ScoreRejectsCorruptModels) {
     std::fputs("not a model file\n", f);
     std::fclose(f);
   }
-  const auto result = run("score --models " + bad + " --capture /dev/null");
+  auto result = run("score --models " + bad + " --capture /dev/null");
   EXPECT_NE(result.exit_code, 0);
+
+  // A model file from before `.bbm` became the only format: the loader
+  // must refuse it at the magic (byte 0) under either policy — a clean
+  // exit 1, never a crash and never a silent empty model set.
+  const std::string stale = *dir_ + "/stale_models.txt";
+  {
+    std::FILE* f = std::fopen(stale.c_str(), "w");
+    std::fputs("behaviot-models v1\nperiodic 1\n0 4 0x1.2cp+9 0x1.8p+3 "
+               "0x1.ep-1 36 api.dlink.com api.dlink.com|TCP 0\n",
+               f);
+    std::fclose(f);
+  }
+  for (const char* policy : {"strict", "lenient"}) {
+    result = run("score --models " + stale + " --capture /dev/null --parse " +
+                 policy);
+    EXPECT_EQ(result.exit_code, 1) << policy << "\n" << result.output;
+    EXPECT_NE(result.output.find("bad magic"), std::string::npos)
+        << policy << "\n" << result.output;
+    EXPECT_NE(result.output.find("at byte 0"), std::string::npos)
+        << policy << "\n" << result.output;
+  }
 }
 
 // ---- Live telemetry: rotation, crash-safety, HTTP endpoint ----
@@ -464,7 +472,7 @@ void make_watch_inputs(const std::string& dir, std::string* models,
     return;
   }
   const std::string idle = dir + "/telemetry_idle.pcap";
-  *models = dir + "/telemetry_models.txt";
+  *models = dir + "/telemetry_models.bbm";
   *capture = dir + "/telemetry_day30.pcap";
   ASSERT_EQ(run("simulate --dataset idle --days 0.1 --seed 5 --out " + idle)
                 .exit_code,

@@ -7,11 +7,13 @@
 // formulation, so serialized models must match the reference byte for byte —
 // across optimizations, thread counts, and compiler flag changes.
 //
-// tests/data/golden_periodic_models.txt was produced by the pre-optimization
-// implementation on the deterministic golden dataset below. Any divergence
-// means an optimization changed arithmetic, not just scheduling, and must be
-// rejected (or the golden deliberately regenerated with a documented
-// semantic change).
+// tests/data/golden_models.bbm holds the models the pre-optimization
+// implementation trained on the deterministic golden dataset below, without
+// user-action forests (the reference pins periodic models, PFSM, thresholds
+// and training traces; forest determinism is pinned by test_runtime's
+// thread-invariance check). Any divergence means an optimization changed
+// arithmetic, not just scheduling, and must be rejected (or the golden
+// deliberately regenerated with a documented semantic change).
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -19,14 +21,16 @@
 #include <string>
 
 #include "behaviot/core/pipeline.hpp"
-#include "behaviot/core/serialize.hpp"
+#include "behaviot/core/serialize_binary.hpp"
 #include "behaviot/runtime/runtime.hpp"
 #include "behaviot/testbed/datasets.hpp"
 
 namespace behaviot {
 namespace {
 
-std::string read_file(const std::string& path) {
+std::string read_golden() {
+  const std::string path =
+      std::string(BEHAVIOT_TEST_DATA_DIR) + "/golden_models.bbm";
   std::ifstream f(path, std::ios::binary);
   EXPECT_TRUE(f.good()) << "missing golden file: " << path;
   std::ostringstream os;
@@ -43,23 +47,20 @@ std::string train_and_serialize() {
   const auto idle_flows = pipeline.to_flows(idle, resolver);
   const auto activity_flows = pipeline.to_flows(activity, resolver);
   const auto routine_flows = pipeline.to_flows(routine, resolver);
-  const auto models = pipeline.train(idle_flows, 0.25 * 86400.0,
-                                     activity_flows, routine_flows);
-  std::ostringstream os;
-  save_models(os, models);
-  return os.str();
+  BehaviorModelSet models = pipeline.train(idle_flows, 0.25 * 86400.0,
+                                           activity_flows, routine_flows);
+  models.user_actions = {};
+  return save_models_binary(models);
 }
 
 TEST(GoldenModel, TrainedModelsAreByteIdenticalToReference) {
-  const std::string golden =
-      read_file(std::string(BEHAVIOT_TEST_DATA_DIR) +
-                "/golden_periodic_models.txt");
+  const std::string golden = read_golden();
   ASSERT_FALSE(golden.empty());
   const std::string current = train_and_serialize();
   ASSERT_EQ(current.size(), golden.size())
       << "serialized model size diverged from the golden reference";
   // Byte compare; on mismatch report the first diverging offset rather than
-  // dumping 40 KB of models.
+  // dumping 37 KB of models.
   if (current != golden) {
     std::size_t at = 0;
     while (at < current.size() && current[at] == golden[at]) ++at;
@@ -72,9 +73,7 @@ TEST(GoldenModel, ByteIdentityHoldsAcrossThreadCounts) {
   // The parallel inference path must assemble the same bytes at any worker
   // count; runs a second configuration to catch scheduling-dependent
   // arithmetic that the single-configuration test above would miss.
-  const std::string golden =
-      read_file(std::string(BEHAVIOT_TEST_DATA_DIR) +
-                "/golden_periodic_models.txt");
+  const std::string golden = read_golden();
   const std::size_t restore = runtime::global_threads();
   runtime::set_global_threads(3);
   const std::string with_three = train_and_serialize();

@@ -1,6 +1,7 @@
-// Parallel runtime: primitive correctness (chunking, exceptions, nesting)
-// and the pipeline-wide determinism guarantee — training with 1, 2, and
-// hardware-concurrency threads must serialize to byte-identical models.
+// Parallel runtime: primitive correctness (chunking, exceptions, nesting,
+// concurrent outside submitters) and the pipeline-wide determinism
+// guarantee — training with 1, 2, and hardware-concurrency threads must
+// serialize to byte-identical models.
 #include "behaviot/runtime/runtime.hpp"
 
 #include <gtest/gtest.h>
@@ -9,9 +10,11 @@
 #include <numeric>
 #include <sstream>
 #include <stdexcept>
+#include <thread>
 
 #include "behaviot/core/pipeline.hpp"
-#include "behaviot/core/serialize.hpp"
+#include "behaviot/core/serialize_binary.hpp"
+#include "behaviot/net/rng.hpp"
 
 namespace behaviot {
 namespace {
@@ -87,6 +90,82 @@ TEST(ParallelFor, NestedCallsRunSeriallyWithoutDeadlock) {
   }
 }
 
+/// splitmix64 finalizer: a cheap, order-sensitive per-index value.
+std::uint64_t mix(std::uint64_t x) {
+  x += 0x9e3779b97f4a7c15ull;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+  return x ^ (x >> 31);
+}
+
+TEST(ParallelFor, ConcurrentOutsideSubmittersMatchSerialChecksums) {
+  // Outside threads can share one pool: in the watch daemon, a retrain the
+  // watchdog abandoned keeps running while the next retrain starts.
+  // Randomized rounds from K outside threads must each cover exactly their
+  // own range, once, and return only after their own work is done; the
+  // per-round checksum must equal a serial recomputation.
+  runtime::ThreadPool pool({.threads = 4});
+  constexpr std::uint64_t kSubmitters = 4;
+  constexpr int kRounds = 300;
+  std::atomic<int> bad_rounds{0};
+  std::atomic<int> rounds_run{0};
+  std::vector<std::thread> submitters;
+  for (std::uint64_t t = 0; t < kSubmitters; ++t) {
+    submitters.emplace_back([&, t] {
+      Rng rng(0x5eedULL + t);
+      for (int round = 0; round < kRounds; ++round) {
+        const std::size_t n = 2 + rng.uniform_index(3000);
+        const std::uint64_t salt = rng.next_u64();
+        const std::uint64_t work = 1 + rng.uniform_index(32);
+        const bool nested = rng.chance(0.2);
+        const auto value = [&](std::size_t i) {
+          std::uint64_t v = i ^ salt;
+          for (std::uint64_t k = 0; k < work; ++k) v = mix(v);
+          return v;
+        };
+        std::vector<std::uint64_t> out(n, 0);
+        std::vector<std::atomic<int>> hits(n);
+        pool.parallel_for(0, n, [&](std::size_t i) {
+          hits[i].fetch_add(1, std::memory_order_relaxed);
+          std::uint64_t v = value(i);
+          if (nested) {
+            // A nested region must not touch the pool's submit lock.
+            std::atomic<std::uint64_t> inner{0};
+            pool.parallel_for(0, 3, [&](std::size_t j) {
+              inner.fetch_add(mix(v + j), std::memory_order_relaxed);
+            });
+            v ^= inner.load();
+          }
+          out[i] = v;
+        });
+        std::uint64_t parallel_sum = 0;
+        std::uint64_t serial_sum = 0;
+        bool once = true;
+        for (std::size_t i = 0; i < n; ++i) {
+          parallel_sum += out[i];
+          std::uint64_t v = value(i);
+          if (nested) {
+            std::uint64_t inner = 0;
+            for (std::size_t j = 0; j < 3; ++j) inner += mix(v + j);
+            v ^= inner;
+          }
+          serial_sum += v;
+          once = once && hits[i].load() == 1;
+        }
+        if (parallel_sum != serial_sum || !once) bad_rounds.fetch_add(1);
+        rounds_run.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& s : submitters) s.join();
+  EXPECT_EQ(rounds_run.load(), static_cast<int>(kSubmitters) * kRounds);
+  EXPECT_EQ(bad_rounds.load(), 0);
+  // The pool still serves a lone caller normally afterwards.
+  std::atomic<int> total{0};
+  pool.parallel_for(0, 1000, [&](std::size_t) { total.fetch_add(1); });
+  EXPECT_EQ(total.load(), 1000);
+}
+
 TEST(ParallelMap, AlignsResultsWithInput) {
   runtime::ThreadPool pool({.threads = 3});
   std::vector<int> items(1000);
@@ -124,10 +203,10 @@ std::string train_and_serialize(std::size_t threads) {
                                      routine_flows);
 
   // Fold classification outcomes in as well: kinds/labels/merged events must
-  // also be invariant, not just what save_models covers.
+  // also be invariant, not just the serialized models (forests included).
   const auto classified = pipeline.classify(routine_flows, models);
   std::ostringstream os;
-  save_models(os, models);
+  os << save_models_binary(models);
   os << "classified";
   for (const EventKind k : classified.kinds) os << ' ' << static_cast<int>(k);
   for (const auto& label : classified.labels) os << ' ' << label;

@@ -1,7 +1,7 @@
 // Binary model format (.bbm) suite: round trips (including user-action
-// forests, which the text format omits), golden-file compatibility, header
-// and CRC validation with byte offsets, count caps, lenient section resync,
-// extension dispatch, and locale independence of both model formats.
+// forests), golden-file compatibility, header and CRC validation with byte
+// offsets, count caps, lenient section resync, atomic file save, and locale
+// independence.
 #include "behaviot/core/serialize_binary.hpp"
 
 #include <gtest/gtest.h>
@@ -12,8 +12,8 @@
 #include <locale>
 #include <sstream>
 
-#include "behaviot/core/serialize.hpp"
 #include "behaviot/flow/features.hpp"
+#include "behaviot/periodic/periodic_classifier.hpp"
 #include "behaviot/pfsm/synoptic.hpp"
 
 namespace behaviot {
@@ -31,9 +31,8 @@ std::string read_file(const std::string& path) {
   return buf.str();
 }
 
-/// A model set exercising every binary section, including the two parts the
-/// text format cannot carry: absence trailers round-trip in both, forests
-/// only in binary.
+/// A model set exercising every binary section, absence trailers and
+/// user-action forests included.
 BehaviorModelSet full_models() {
   BehaviorModelSet models;
 
@@ -130,8 +129,7 @@ TEST(SerializeBinary, RoundTripPreservesEverySection) {
 }
 
 TEST(SerializeBinary, RoundTripPreservesForests) {
-  // The discriminating property: the text format drops user-action forests,
-  // the binary format must reproduce their exact decision function.
+  // Forests must come back with their exact decision function.
   const BehaviorModelSet original = full_models();
   const std::string image = save_models_binary(original);
   const BehaviorModelSet loaded = load_models_binary(as_bytes(image));
@@ -164,23 +162,6 @@ TEST(SerializeBinary, SaveLoadSaveIsByteIdentical) {
   EXPECT_EQ(save_models_binary(loaded), image);
 }
 
-TEST(SerializeBinary, TextToBinaryToTextReproducesGoldenByteIdentical) {
-  // The acceptance property on the real trained artifact: the golden
-  // periodic model file survives text → binary → text without a byte of
-  // drift (hexfloat doubles, absence trailers, blank domains and all).
-  const std::string golden_path =
-      std::string(BEHAVIOT_TEST_DATA_DIR) + "/golden_periodic_models.txt";
-  const std::string golden_text = read_file(golden_path);
-  std::istringstream in(golden_text);
-  const BehaviorModelSet models = load_models(in, ParsePolicy::kStrict);
-
-  const std::string image = save_models_binary(models);
-  const BehaviorModelSet reloaded = load_models_binary(as_bytes(image));
-  std::ostringstream out;
-  save_models(out, reloaded);
-  EXPECT_EQ(out.str(), golden_text);
-}
-
 TEST(SerializeBinary, GoldenBbmLoadsAndResavesByteIdentical) {
   // Format-compatibility pin: the checked-in .bbm must parse with today's
   // loader and re-serialize byte-identically. A layout change that breaks
@@ -195,32 +176,48 @@ TEST(SerializeBinary, GoldenBbmLoadsAndResavesByteIdentical) {
   EXPECT_EQ(save_models_binary(models), image);
 }
 
-TEST(SerializeBinary, FileDispatchSelectsFormatByExtension) {
-  EXPECT_TRUE(is_binary_model_path("models.bbm"));
-  EXPECT_TRUE(is_binary_model_path("MODELS.BBM"));
-  EXPECT_FALSE(is_binary_model_path("models.txt"));
-  EXPECT_FALSE(is_binary_model_path("bbm"));
-
-  const std::string dir = ::testing::TempDir();
+TEST(SerializeBinary, FileRoundTripCarriesForests) {
+  const std::string path = ::testing::TempDir() + "/models.bbm";
   const BehaviorModelSet models = full_models();
+  save_models_binary_file(path, models);
+  const std::string on_disk = read_file(path);
+  EXPECT_EQ(on_disk, save_models_binary(models));
+  // The write is atomic (temp + rename): no temp file is left behind.
+  std::size_t entries = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(::testing::TempDir())) {
+    if (entry.path().filename().string().rfind("models.bbm", 0) == 0) {
+      ++entries;
+    }
+  }
+  EXPECT_EQ(entries, 1u);
+  const BehaviorModelSet loaded = load_models_binary_file(path);
+  EXPECT_EQ(loaded.user_actions.size(), 1u);
+  EXPECT_EQ(loaded.periodic.size(), models.periodic.size());
+  std::filesystem::remove(path);
+}
 
-  const std::string bin_path = dir + "/models.bbm";
-  save_models_file(bin_path, models);
-  const std::string on_disk = read_file(bin_path);
-  ASSERT_GE(on_disk.size(), 4u);
-  EXPECT_EQ(on_disk.substr(0, 4), "BBM1");
-  const BehaviorModelSet from_bin = load_models_file(bin_path);
-  EXPECT_EQ(from_bin.user_actions.size(), 1u);  // binary carries forests
+TEST(SerializeBinary, LoadedModelsDriveTimerClassification) {
+  // The deserialized set classifies via timers even without clusters (the
+  // periodic cluster stage is a training-time cache, not serialized).
+  const BehaviorModelSet loaded =
+      load_models_binary(as_bytes(save_models_binary(full_models())));
 
-  const std::string text_path = dir + "/models.txt";
-  save_models_file(text_path, models);
-  EXPECT_EQ(read_file(text_path).substr(0, 15), "behaviot-models");
-  const BehaviorModelSet from_text = load_models_file(text_path);
-  EXPECT_EQ(from_text.user_actions.size(), 0u);  // text does not
-  EXPECT_EQ(from_text.periodic.size(), from_bin.periodic.size());
-
-  std::filesystem::remove(bin_path);
-  std::filesystem::remove(text_path);
+  PeriodicEventClassifier classifier(loaded.periodic);
+  FlowRecord flow;
+  flow.device = 3;
+  flow.domain = "hb.vendor.com";
+  flow.app = AppProtocol::kTls;
+  flow.tuple = {{Ipv4Addr(192, 168, 1, 13), 40000},
+                {Ipv4Addr(54, 9, 9, 9), 443},
+                Transport::kTcp};
+  flow.start = Timestamp(0);
+  EXPECT_TRUE(classifier.classify(flow).periodic);  // first sighting arms
+  flow.start = Timestamp::from_seconds(600.125);
+  EXPECT_TRUE(classifier.classify(flow).periodic);  // on schedule
+  flow.start = Timestamp::from_seconds(600.125 + 900.0);
+  const auto off_schedule = classifier.classify(flow);
+  EXPECT_FALSE(off_schedule.via_timer);
 }
 
 TEST(SerializeBinary, RejectsBadMagicWithOffsetZero) {
@@ -355,8 +352,8 @@ TEST(SerializeBinary, OversizedCountRejectedBeforeAllocation) {
 }
 
 TEST(SerializeBinary, LenientResynchronizesAtNextSection) {
-  // The section table lets the lenient loader do what the text loader
-  // cannot: drop the damaged section and still parse everything after it.
+  // The section table lets the lenient loader drop the damaged section and
+  // still parse everything after it.
   std::string image = save_models_binary(full_models());
   const std::size_t count_at = 12 + 5 * 16;
   image[count_at] = static_cast<char>(0xff);
@@ -646,30 +643,20 @@ class GlobalLocaleGuard {
 };
 
 TEST(SerializeBinary, ModelFilesAreByteIdenticalUnderCommaDecimalLocale) {
+  // Doubles are written as raw IEEE-754 bits and counts as fixed-width
+  // integers, so no locale may change a byte of the image or of its load.
   const BehaviorModelSet models = full_models();
-  std::ostringstream ref_text_os;
-  save_models(ref_text_os, models);
-  const std::string ref_text = ref_text_os.str();
   const std::string ref_binary = save_models_binary(models);
 
   {
     GlobalLocaleGuard comma_locale;
-    // Writers: newly created streams inherit the comma-decimal global
-    // locale; save_models must still emit classic-locale bytes (no comma
-    // radix in hexfloats, no thousands grouping in integers).
-    std::ostringstream text_under;
-    save_models(text_under, models);
-    EXPECT_EQ(text_under.str(), ref_text);
     EXPECT_EQ(save_models_binary(models), ref_binary);
-
-    // Readers: parsing back under the same locale must reproduce the set.
-    std::istringstream in(ref_text);
-    const BehaviorModelSet from_text = load_models(in, ParsePolicy::kStrict);
-    const PeriodicModel* hb = from_text.periodic.find(3, "hb.vendor.com|TLS");
-    ASSERT_NE(hb, nullptr);
-    EXPECT_DOUBLE_EQ(hb->period_seconds, 600.125);
     const BehaviorModelSet from_binary =
         load_models_binary(as_bytes(ref_binary));
+    const PeriodicModel* hb =
+        from_binary.periodic.find(3, "hb.vendor.com|TLS");
+    ASSERT_NE(hb, nullptr);
+    EXPECT_DOUBLE_EQ(hb->period_seconds, 600.125);
     EXPECT_EQ(save_models_binary(from_binary), ref_binary);
   }
 
@@ -680,15 +667,11 @@ TEST(SerializeBinary, ModelFilesAreByteIdenticalUnderCommaDecimalLocale) {
   if (named == nullptr) {
     GTEST_SKIP() << "no comma-decimal C locale available in this image";
   }
-  std::ostringstream text_under;
-  save_models(text_under, models);
   const std::string bin_under = save_models_binary(models);
-  std::istringstream in(ref_text);
-  const BehaviorModelSet from_text = load_models(in, ParsePolicy::kStrict);
+  const BehaviorModelSet from_binary = load_models_binary(as_bytes(ref_binary));
   std::setlocale(LC_ALL, "C");
-  EXPECT_EQ(text_under.str(), ref_text);
   EXPECT_EQ(bin_under, ref_binary);
-  EXPECT_EQ(from_text.periodic.size(), models.periodic.size());
+  EXPECT_EQ(from_binary.periodic.size(), models.periodic.size());
 }
 
 }  // namespace

@@ -6,21 +6,22 @@
 //       Write a simulated testbed capture as a classic .pcap file.
 //       Datasets: idle | activity | routine | uncontrolled-day:<N>
 //
-//   behaviot train --idle idle.pcap --window-days 2 --out models.txt
+//   behaviot train --idle idle.pcap --window-days 2 --out models.bbm
 //       Infer periodic models from an idle capture and save them (with the
 //       default deviation thresholds). User-action models need labeled
 //       interactions and are therefore trained via the library API, not
 //       from raw pcaps — see README.
 //
-//   behaviot show --models models.txt [--device <name>]
-//       Print the saved models.
+//   behaviot show --models models.bbm [--device <name>]
+//       Print the saved models. Model files are versioned, CRC-guarded
+//       `.bbm` images (core/serialize_binary.hpp), whatever the extension.
 //
-//   behaviot score --models models.txt --capture day.pcap
+//   behaviot score --models models.bbm --capture day.pcap
 //       Evaluate a capture against saved models and print periodic
 //       deviation alerts. With --window-s W the capture is scored in
 //       successive W-second windows instead of the prime/score half-split.
 //
-//   behaviot watch --models models.txt --capture day.pcap --window-s W
+//   behaviot watch --models models.bbm --capture day.pcap --window-s W
 //       Streaming daemon: read the capture incrementally (tail it as it
 //       grows with --follow 1), assemble flows with bounded memory, score
 //       each W-second deviation window as it closes, and optionally
@@ -29,10 +30,10 @@
 //       `score --window-s W`. --max-windows / --until-s bound the run
 //       deterministically; --alerts is rewritten after every window.
 //
-//   behaviot mud --models models.txt --device <name>
+//   behaviot mud --models models.bbm --device <name>
 //       Emit a MUD-like profile for one device.
 //
-//   behaviot check --models models.txt --capture day.pcap --device <name>
+//   behaviot check --models models.bbm --capture day.pcap --device <name>
 //       MUD compliance: flag the device's flows that match no profile
 //       entry (unknown destination or protocol).
 //
@@ -42,17 +43,10 @@
 //       `score --alerts FILE`: observed vs expected value, crossed
 //       threshold, model group, and cluster/vote evidence.
 //
-//   behaviot health --capture day.pcap [--models models.txt]
+//   behaviot health --capture day.pcap [--models models.bbm]
 //       Exercise the pipeline on a capture (assembly + inference, plus
 //       scoring when models are given) and print the per-component health
 //       report: healthy / degraded / quarantined with reason codes.
-//
-//   behaviot convert-models --in models.txt --out models.bbm
-//       Convert between the text and binary model formats (selected by
-//       extension — ".bbm" is binary). Every --models/--out path in the
-//       other commands dispatches the same way. Binary output is
-//       re-opened and verified (header, section table, CRC) after the
-//       write.
 //
 // Numeric flags are validated before any file I/O: a malformed or
 // out-of-domain value (--window-s abc, --seed -1, --days inf) prints a
@@ -91,7 +85,6 @@
 #include "behaviot/core/model_handle.hpp"
 #include "behaviot/core/mud_profile.hpp"
 #include "behaviot/core/pipeline.hpp"
-#include "behaviot/core/serialize.hpp"
 #include "behaviot/core/serialize_binary.hpp"
 #include "behaviot/core/watch_engine.hpp"
 #include "behaviot/deviation/monitor.hpp"
@@ -143,11 +136,9 @@ extern "C" void handle_watch_signal(int) {
 int usage() {
   std::fprintf(stderr,
                "usage: behaviot <simulate|train|show|score|watch|mud|check"
-               "|explain|health|convert-models> [options]\n"
-               "Model files are text (.txt, human-diffable) or binary (.bbm,"
-               " zero-copy\n"
-               "load, carries user-action forests) — the extension selects"
-               " the format.\n"
+               "|explain|health> [options]\n"
+               "MODELS is a binary .bbm model file (train --out writes one;"
+               " show prints it).\n"
                "  simulate --dataset idle|activity|routine|uncontrolled-day:N"
                " [--days D] [--seed S] --out FILE.pcap\n"
                "  train    --idle FILE.pcap --window-days D --out MODELS\n"
@@ -162,7 +153,7 @@ int usage() {
                "      [--max-buffered-packets N] [--alerts REPORT.json]\n"
                "      [--publish-models FILE   write each retrained+swapped"
                " model\n"
-               "      generation to FILE (format by extension)]\n"
+               "      generation to FILE as .bbm]\n"
                "      [--rotate-max-bytes N --rotate-keep K   archive an"
                " --alerts/\n"
                "      --metrics/--trace snapshot as FILE.<window> once it"
@@ -211,12 +202,6 @@ int usage() {
                "  explain  --alerts REPORT.json [--source"
                " periodic|short-term|long-term]\n"
                "  health   --capture FILE.pcap [--models MODELS]\n"
-               "  convert-models --in MODELS --out MODELS\n"
-               "      convert between the text and binary model formats"
-               " (extension\n"
-               "      selects each side; .bbm->.txt drops user-action"
-               " forests, which\n"
-               "      the text format does not carry)\n"
                "common:\n"
                "  --chaos SPEC             inject deterministic faults into"
                " the loaded or\n"
@@ -391,7 +376,7 @@ std::vector<Packet> load_capture(const std::string& path, ParsePolicy policy) {
 BehaviorModelSet load_models_reporting(const std::string& path,
                                        ParsePolicy policy) {
   ParseStats stats;
-  BehaviorModelSet models = load_models_file(path, policy, &stats);
+  BehaviorModelSet models = load_models_binary_file(path, policy, &stats);
   if (stats.sections_dropped > 0) {
     std::fprintf(stderr,
                  "warning: %s is damaged — %zu model section(s) dropped by"
@@ -400,6 +385,39 @@ BehaviorModelSet load_models_reporting(const std::string& path,
                  path.c_str(), stats.sections_dropped);
   }
   return models;
+}
+
+/// The metrics document for `path`: Prometheus text exposition when it
+/// ends in .prom, JSON otherwise.
+std::string render_metrics(const std::string& path,
+                           const obs::MetricsSnapshot& snap,
+                           const obs::HealthSnapshot& health) {
+  const bool prom = path.size() >= 5 && path.rfind(".prom") == path.size() - 5;
+  return prom ? obs::to_prometheus(snap, health) : obs::to_json(snap, health);
+}
+
+/// Rewrites watch's --metrics snapshot from the live registry; a failed
+/// write is reported and the stream goes on.
+void write_metrics_snapshot(obs::SnapshotWriter& writer,
+                            const obs::HealthSnapshot& health,
+                            std::size_t window) {
+  const auto snap = obs::MetricsRegistry::global().snapshot();
+  if (!writer.write(render_metrics(writer.path(), snap, health), window)) {
+    std::fprintf(stderr, "error: cannot write metrics: %s\n",
+                 writer.last_error().c_str());
+  }
+}
+
+/// Rewrites watch's --alerts snapshot with every alert since the last
+/// rotation. Returns false (after reporting it) when the write failed.
+bool write_alerts_snapshot(obs::SnapshotWriter& writer,
+                           const std::vector<DeviationAlert>& alerts,
+                           const obs::HealthSnapshot& health,
+                           std::size_t window) {
+  if (writer.write(alerts_to_json(alerts, &health), window)) return true;
+  std::fprintf(stderr, "error: cannot write alerts: %s\n",
+               writer.last_error().c_str());
+  return false;
 }
 
 DomainResolver make_resolver() {
@@ -457,7 +475,7 @@ int cmd_train(const std::map<std::string, std::string>& flags) {
 
   BehaviorModelSet models;
   models.periodic = PeriodicModelSet::infer(flows, window_days * 86400.0);
-  save_models_file(flags.at("out"), models);
+  save_models_binary_file(flags.at("out"), models);
   std::printf("inferred %zu periodic models (coverage %.1f%%), saved to %s\n",
               models.periodic.size(),
               models.periodic.stats().coverage() * 100.0,
@@ -808,11 +826,9 @@ int cmd_watch(const std::map<std::string, std::string>& flags) {
     if (alerts_writer) {
       // Rewritten whole after every window: the file is always a complete,
       // valid report of the alerts emitted since the last rotation.
-      if (!alerts_writer->write(alerts_to_json(all_alerts, &health),
-                                r.index)) {
-        std::fprintf(stderr, "error: cannot write alerts: %s\n",
-                     alerts_writer->last_error().c_str());
-      } else if (alerts_writer->rotated_last_write()) {
+      if (write_alerts_snapshot(*alerts_writer, all_alerts, health,
+                                r.index) &&
+          alerts_writer->rotated_last_write()) {
         // The archived generation holds everything so far; the next
         // generation reports only what follows. Concatenating the archives
         // with the live file reproduces the unrotated report exactly.
@@ -830,16 +846,7 @@ int cmd_watch(const std::map<std::string, std::string>& flags) {
       obs::update_process_gauges();
     }
     if (metrics_writer) {
-      const auto snap = obs::MetricsRegistry::global().snapshot();
-      const std::string& mpath = metrics_writer->path();
-      const bool prom =
-          mpath.size() >= 5 && mpath.rfind(".prom") == mpath.size() - 5;
-      if (!metrics_writer->write(prom ? obs::to_prometheus(snap, health)
-                                      : obs::to_json(snap, health),
-                                 r.index)) {
-        std::fprintf(stderr, "error: cannot write metrics: %s\n",
-                     metrics_writer->last_error().c_str());
-      }
+      write_metrics_snapshot(*metrics_writer, health, r.index);
     }
     if (obs::Tracer::enabled() &&
         (trace_writer || g_telemetry != nullptr)) {
@@ -1072,24 +1079,13 @@ int cmd_watch(const std::map<std::string, std::string>& flags) {
     const obs::HealthSnapshot health = obs::health().snapshot();
     const std::size_t last_window =
         engine.windows_evaluated() == 0 ? 0 : engine.windows_evaluated() - 1;
-    if (alerts_writer &&
-        !alerts_writer->write(alerts_to_json(all_alerts, &health),
-                              last_window)) {
-      std::fprintf(stderr, "error: cannot write alerts: %s\n",
-                   alerts_writer->last_error().c_str());
+    if (alerts_writer) {
+      (void)write_alerts_snapshot(*alerts_writer, all_alerts, health,
+                                  last_window);
     }
     if (metrics_writer) {
       obs::update_process_gauges();
-      const auto snap = obs::MetricsRegistry::global().snapshot();
-      const std::string& mpath = metrics_writer->path();
-      const bool prom =
-          mpath.size() >= 5 && mpath.rfind(".prom") == mpath.size() - 5;
-      if (!metrics_writer->write(prom ? obs::to_prometheus(snap, health)
-                                      : obs::to_json(snap, health),
-                                 last_window)) {
-        std::fprintf(stderr, "error: cannot write metrics: %s\n",
-                     metrics_writer->last_error().c_str());
-      }
+      write_metrics_snapshot(*metrics_writer, health, last_window);
     }
   }
   if (!checkpoint_path.empty()) {
@@ -1113,46 +1109,6 @@ int cmd_watch(const std::map<std::string, std::string>& flags) {
                  static_cast<unsigned long long>(g_chaos->stats().total()),
                  g_chaos->spec().summary().c_str());
   }
-  return 0;
-}
-
-/// Converts a model file between the text (.txt) and binary (.bbm) formats;
-/// each side's format is selected by its extension. Note the text format
-/// deliberately omits user-action forests, so .bbm → .txt drops them (and
-/// .txt → .bbm → .txt is byte-identical).
-int cmd_convert(const std::map<std::string, std::string>& flags) {
-  if (flags.count("in") == 0 || flags.count("out") == 0) return usage();
-  const BehaviorModelSet models =
-      load_models_reporting(flags.at("in"), parse_policy(flags));
-  save_models_file(flags.at("out"), models);
-  if (is_binary_model_path(flags.at("out"))) {
-    // Verify the written image with the zero-copy view: re-validates the
-    // header, section table and CRC straight off disk without a second
-    // materializing load, so a torn or miswritten store file is caught at
-    // write time rather than by the next reader.
-    std::ifstream check(flags.at("out"), std::ios::binary);
-    if (!check) {
-      std::fprintf(stderr,
-                   "error: cannot re-open %s for verification\n",
-                   flags.at("out").c_str());
-      return 1;
-    }
-    const std::string image((std::istreambuf_iterator<char>(check)),
-                            std::istreambuf_iterator<char>());
-    const BinaryModelView view = BinaryModelView::open(
-        {reinterpret_cast<const std::uint8_t*>(image.data()), image.size()});
-    if (view.periodic_count() != models.periodic.size()) {
-      std::fprintf(stderr, "error: written image holds %zu periodic models, "
-                           "expected %zu\n",
-                   view.periodic_count(), models.periodic.size());
-      return 1;
-    }
-  }
-  std::printf("converted %s -> %s (%zu periodic models, %zu states, "
-              "%zu user-action classifiers)\n",
-              flags.at("in").c_str(), flags.at("out").c_str(),
-              models.periodic.size(), models.pfsm.num_states(),
-              models.user_actions.size());
   return 0;
 }
 
@@ -1290,7 +1246,6 @@ int dispatch(const std::string& command,
   if (command == "check") return cmd_check(flags);
   if (command == "explain") return cmd_explain(flags);
   if (command == "health") return cmd_health(flags);
-  if (command == "convert-models") return cmd_convert(flags);
   return usage();
 }
 
@@ -1320,12 +1275,9 @@ bool write_trace(const std::string& path) {
 bool write_metrics(const std::string& path) {
   obs::update_process_gauges();
   const auto snap = obs::MetricsRegistry::global().snapshot();
-  const bool prom = path.size() >= 5 && path.rfind(".prom") == path.size() - 5;
   const obs::HealthSnapshot health = obs::health().snapshot();
   std::string error;
-  if (!obs::write_file_atomic(path,
-                              prom ? obs::to_prometheus(snap, health)
-                                   : obs::to_json(snap, health),
+  if (!obs::write_file_atomic(path, render_metrics(path, snap, health),
                               &error)) {
     std::fprintf(stderr, "error: cannot write metrics: %s\n", error.c_str());
     return false;
