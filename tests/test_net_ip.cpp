@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <set>
+#include <string>
 
 namespace behaviot {
 namespace {
@@ -21,9 +23,15 @@ TEST(Ipv4Addr, ParseValid) {
   EXPECT_EQ(Ipv4Addr::parse("0.0.0.0")->value(), 0u);
 }
 
+// Each parameter struct gets a PrintTo: without one, gtest prints the raw
+// object bytes (a string pointer and struct padding), so the test names that
+// `gtest_discover_tests` derives from them changed with every build and run.
 struct BadAddr {
   const char* text;
 };
+void PrintTo(const BadAddr& c, std::ostream* os) {
+  *os << ::testing::PrintToString(std::string(c.text));
+}
 class ParseRejects : public ::testing::TestWithParam<BadAddr> {};
 
 TEST_P(ParseRejects, MalformedInput) {
@@ -41,6 +49,10 @@ struct PrivateCase {
   const char* text;
   bool is_private;
 };
+void PrintTo(const PrivateCase& c, std::ostream* os) {
+  *os << ::testing::PrintToString(std::string(c.text))
+      << (c.is_private ? " private" : " public");
+}
 class PrivateRanges : public ::testing::TestWithParam<PrivateCase> {};
 
 TEST_P(PrivateRanges, Classification) {
@@ -92,6 +104,9 @@ struct ProtoCase {
   std::uint16_t port;
   AppProtocol expected;
 };
+void PrintTo(const ProtoCase& c, std::ostream* os) {
+  *os << to_string(c.t) << '/' << c.port << " -> " << to_string(c.expected);
+}
 class AppProtocolCases : public ::testing::TestWithParam<ProtoCase> {};
 
 TEST_P(AppProtocolCases, Classification) {
