@@ -11,6 +11,7 @@
 #include <arpa/inet.h>
 #include <benchmark/benchmark.h>
 #include <netinet/in.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -447,9 +448,21 @@ double scrape_metrics_ms(std::uint16_t port) {
   return std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
 }
 
+/// CPU time (user + sys, all threads) this process has used so far, in ms.
+double process_cpu_ms() {
+  rusage ru{};
+  ::getrusage(RUSAGE_SELF, &ru);
+  const auto ms = [](const timeval& tv) {
+    return static_cast<double>(tv.tv_sec) * 1e3 +
+           static_cast<double>(tv.tv_usec) / 1e3;
+  };
+  return ms(ru.ru_utime) + ms(ru.ru_stime);
+}
+
 /// Outcome of one streamed watch run for the telemetry overhead section.
 struct TelemetryWatchRun {
   double total_ms = 0.0;     ///< wall-clock for the whole ingest+finish
+  double cpu_ms = 0.0;       ///< process CPU time for the same span
   double snapshot_ms = 0.0;  ///< time inside per-window render + atomic write
   std::size_t windows = 0;
   std::size_t alerts = 0;
@@ -496,11 +509,13 @@ TelemetryWatchRun time_telemetry_watch(const BehaviorModelSet& models,
         std::chrono::duration<double, std::milli>(Clock::now() - s0).count();
   });
   const auto t0 = Clock::now();
+  const double cpu0 = process_cpu_ms();
   constexpr std::size_t kChunk = 512;
   for (std::size_t i = 0; i < packets.size() && !engine.done(); i += kChunk) {
     engine.ingest(packets.subspan(i, std::min(kChunk, packets.size() - i)));
   }
   engine.finish();
+  r.cpu_ms = process_cpu_ms() - cpu0;
   r.total_ms =
       std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
   r.windows = engine.windows_evaluated();
@@ -510,6 +525,7 @@ TelemetryWatchRun time_telemetry_watch(const BehaviorModelSet& models,
 /// Outcome of one streamed watch run for the checkpoint overhead section.
 struct CheckpointWatchRun {
   double total_ms = 0.0;       ///< wall-clock for the whole ingest+finish
+  double cpu_ms = 0.0;         ///< process CPU time for the same span
   double checkpoint_ms = 0.0;  ///< time inside export + serialize + write
   std::size_t windows = 0;
   std::size_t alerts = 0;
@@ -522,8 +538,9 @@ struct CheckpointWatchRun {
 /// shell). Both runs rewrite the per-window `--alerts` snapshot the way
 /// every operated daemon does; the on-run additionally does what `behaviot
 /// watch --checkpoint` does: export the full daemon state, serialize it
-/// with the embedded model image, and write it through the rotating atomic
-/// path.
+/// with the embedded model image (re-serialized only when the generation
+/// changes) and the alerts document the snapshot already rendered, and
+/// write it through the rotating atomic path.
 CheckpointWatchRun time_checkpoint_watch(const BehaviorModelSet& models,
                                          std::span<const Packet> packets,
                                          bool with_checkpoint,
@@ -538,21 +555,30 @@ CheckpointWatchRun time_checkpoint_watch(const BehaviorModelSet& models,
   CheckpointWatchRun r;
   std::vector<DeviationAlert> all_alerts;
   obs::SnapshotWriter alerts_writer(alerts_path);
+  std::string models_image;
+  std::optional<std::uint64_t> models_image_version;
   engine.set_window_sink([&](const WatchWindowReport& rep) {
     all_alerts.insert(all_alerts.end(), rep.alerts.begin(), rep.alerts.end());
     r.alerts += rep.alerts.size();
-    alerts_writer.write(alerts_to_json(all_alerts), rep.index);
+    std::string alerts_json = alerts_to_json(all_alerts);
+    alerts_writer.write(alerts_json, rep.index);
     if (!with_checkpoint) return;
     const auto s0 = Clock::now();
+    if (models_image_version != handle.version()) {
+      models_image = save_models_binary(*handle.acquire());
+      models_image_version = handle.version();
+    }
     WatchCheckpoint cp;
     cp.options.window_us = opts.window_us;
     cp.engine = engine.export_state();
-    cp.models_image = save_models_binary(*handle.acquire());
+    cp.models_image = std::move(models_image);
     cp.model_version = handle.version();
     cp.input_offset = rep.index + 1;  // stand-in for the capture offset
-    cp.alerts_json = alerts_to_json(all_alerts);
+    cp.alerts_json = std::move(alerts_json);
     std::string error;
-    if (write_checkpoint_rotating(path, cp, &error)) {
+    const bool written = write_checkpoint_rotating(path, cp, &error);
+    models_image = std::move(cp.models_image);
+    if (written) {
       std::error_code ec;
       const auto size = std::filesystem::file_size(path, ec);
       if (!ec) r.bytes = static_cast<std::uint64_t>(size);
@@ -561,11 +587,13 @@ CheckpointWatchRun time_checkpoint_watch(const BehaviorModelSet& models,
         std::chrono::duration<double, std::milli>(Clock::now() - s0).count();
   });
   const auto t0 = Clock::now();
+  const double cpu0 = process_cpu_ms();
   constexpr std::size_t kChunk = 512;
   for (std::size_t i = 0; i < packets.size() && !engine.done(); i += kChunk) {
     engine.ingest(packets.subspan(i, std::min(kChunk, packets.size() - i)));
   }
   engine.finish();
+  r.cpu_ms = process_cpu_ms() - cpu0;
   r.total_ms =
       std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
   r.windows = engine.windows_evaluated();
@@ -585,7 +613,8 @@ CheckpointWatchRun time_checkpoint_watch(const BehaviorModelSet& models,
 /// parallel_total IS the disabled-tracing number the <= 1.02 budget in
 /// DESIGN.md refers to. A telemetry section additionally times a streamed
 /// watch run with per-window snapshot rewrites against the plain daemon
-/// (bounded at 1.5x) and measures loopback /metrics scrape latency.
+/// (bounded at 1.5x in process CPU time) and measures loopback /metrics
+/// scrape latency.
 /// Returns false on I/O failure or a failed invariant.
 bool write_pipeline_bench_json(const std::string& path) {
   const std::size_t parallel_threads =
@@ -747,9 +776,12 @@ bool write_pipeline_bench_json(const std::string& path) {
   // same capture through a WatchEngine with the registry enabled and the
   // per-window --metrics/--alerts snapshot rewrites (atomic temp+rename);
   // the off-run is the plain daemon. The bound is deliberately loose —
-  // per-window snapshot writes must stay lost in the noise of the window
-  // close itself, so a 1.5x wall-clock regression marks a real problem,
-  // not jitter. Scrape latency is a real loopback HTTP round-trip against
+  // per-window snapshot work must stay lost in the noise of the window
+  // close itself, so a 1.5x regression marks a real problem, not jitter.
+  // The gate compares process CPU time (user+sys): the wall clock of these
+  // short runs mostly measures how long the filesystem takes to rename
+  // over a file, not what telemetry costs; the wall ratio is reported
+  // beside it. Scrape latency is a real loopback HTTP round-trip against
   // the populated registry left behind by the on-run.
   bool telemetry_ok = true;
   {
@@ -784,7 +816,8 @@ bool write_pipeline_bench_json(const std::string& path) {
     obs::MetricsRegistry::set_enabled(false);
     obs::MetricsRegistry::global().reset_values();
     std::filesystem::remove_all(dir);
-    const double on_over_off = on.total_ms / off.total_ms;
+    const double on_over_off = on.cpu_ms / off.cpu_ms;
+    const double wall_on_over_off = on.total_ms / off.total_ms;
     const double snapshot_per_window =
         on.windows == 0 ? 0.0
                         : on.snapshot_ms / static_cast<double>(on.windows);
@@ -795,9 +828,12 @@ bool write_pipeline_bench_json(const std::string& path) {
     os << "  \"telemetry\": {\n"
        << "    \"watch_windows\": " << off.windows << ",\n"
        << "    \"watch_alerts\": " << off.alerts << ",\n"
+       << "    \"watch_off_cpu_ms\": " << off.cpu_ms << ",\n"
+       << "    \"watch_on_cpu_ms\": " << on.cpu_ms << ",\n"
+       << "    \"watch_on_over_off\": " << on_over_off << ",\n"
        << "    \"watch_off_total_ms\": " << off.total_ms << ",\n"
        << "    \"watch_on_total_ms\": " << on.total_ms << ",\n"
-       << "    \"watch_on_over_off\": " << on_over_off << ",\n"
+       << "    \"watch_wall_on_over_off\": " << wall_on_over_off << ",\n"
        << "    \"snapshot_ms_per_window\": " << snapshot_per_window << ",\n"
        << "    \"scrapes\": " << kScrapes << ",\n"
        << "    \"scrapes_ok\": " << scrapes_ok << ",\n"
@@ -806,9 +842,11 @@ bool write_pipeline_bench_json(const std::string& path) {
        << "    \"scrape_max_ms\": " << scrape_max << ",\n"
        << "    \"within_noise\": " << (within_noise ? "true" : "false")
        << "\n  },\n";
-    std::cerr << "BENCH telemetry: watch " << off.total_ms << " ms plain vs "
-              << on.total_ms << " ms instrumented+snapshots ("
-              << on_over_off << "x, " << snapshot_per_window
+    std::cerr << "BENCH telemetry: watch CPU " << off.cpu_ms
+              << " ms plain vs " << on.cpu_ms
+              << " ms instrumented+snapshots (" << on_over_off
+              << "x; wall " << off.total_ms << " vs " << on.total_ms
+              << " ms, " << wall_on_over_off << "x; " << snapshot_per_window
               << " ms/window in snapshot writes); " << scrapes_ok << "/"
               << kScrapes << " scrapes ok, mean "
               << (scrapes_ok == 0 ? 0.0 : scrape_sum / scrapes_ok)
@@ -822,8 +860,11 @@ bool write_pipeline_bench_json(const std::string& path) {
   // per-window --alerts snapshot rewrite every operated daemon does, so
   // the ratio prices the checkpoint against a real window, and each side
   // is best-of-3 so a single scheduler hiccup can't fail the bound. The
-  // bound is 1.2x the operated daemon. Save/load round-trip latency on
-  // the final image rides along for the resume-time budget.
+  // bound is 1.2x the operated daemon's process CPU time (user+sys), which
+  // prices export + serialize + write syscalls without the filesystem's
+  // rename latency; the wall ratio is reported beside it. Save/load
+  // round-trip latency on the final image rides along for the resume-time
+  // budget.
   bool checkpoint_ok = true;
   {
     const BehaviorModelSet watch_models = watch_models_of(serial.serialized);
@@ -840,7 +881,7 @@ bool write_pipeline_bench_json(const std::string& path) {
       for (int rep = 0; rep < 3; ++rep) {
         const CheckpointWatchRun run = time_checkpoint_watch(
             watch_models, eval.packets, with_checkpoint, ck_path, al_path);
-        if (rep == 0 || run.total_ms < best.total_ms) best = run;
+        if (rep == 0 || run.cpu_ms < best.cpu_ms) best = run;
       }
       return best;
     };
@@ -860,7 +901,8 @@ bool write_pipeline_bench_json(const std::string& path) {
     const double save_ms =
         std::chrono::duration<double, std::milli>(Clock::now() - s0).count();
     std::filesystem::remove_all(dir);
-    const double on_over_off = on.total_ms / off.total_ms;
+    const double on_over_off = on.cpu_ms / off.cpu_ms;
+    const double wall_on_over_off = on.total_ms / off.total_ms;
     const double checkpoint_per_window =
         on.windows == 0 ? 0.0
                         : on.checkpoint_ms / static_cast<double>(on.windows);
@@ -872,9 +914,12 @@ bool write_pipeline_bench_json(const std::string& path) {
     os << "  \"checkpoint\": {\n"
        << "    \"watch_windows\": " << off.windows << ",\n"
        << "    \"watch_alerts\": " << off.alerts << ",\n"
+       << "    \"watch_off_cpu_ms\": " << off.cpu_ms << ",\n"
+       << "    \"watch_on_cpu_ms\": " << on.cpu_ms << ",\n"
+       << "    \"watch_on_over_off\": " << on_over_off << ",\n"
        << "    \"watch_off_total_ms\": " << off.total_ms << ",\n"
        << "    \"watch_on_total_ms\": " << on.total_ms << ",\n"
-       << "    \"watch_on_over_off\": " << on_over_off << ",\n"
+       << "    \"watch_wall_on_over_off\": " << wall_on_over_off << ",\n"
        << "    \"checkpoint_ms_per_window\": " << checkpoint_per_window
        << ",\n"
        << "    \"checkpoint_bytes\": " << on.bytes << ",\n"
@@ -884,8 +929,10 @@ bool write_pipeline_bench_json(const std::string& path) {
        << (round_trip_stable ? "true" : "false") << ",\n"
        << "    \"within_noise\": " << (within_noise ? "true" : "false")
        << "\n  },\n";
-    std::cerr << "BENCH checkpoint: watch " << off.total_ms << " ms plain vs "
-              << on.total_ms << " ms checkpointed (" << on_over_off << "x, "
+    std::cerr << "BENCH checkpoint: watch CPU " << off.cpu_ms
+              << " ms plain vs " << on.cpu_ms << " ms checkpointed ("
+              << on_over_off << "x; wall " << off.total_ms << " vs "
+              << on.total_ms << " ms, " << wall_on_over_off << "x; "
               << checkpoint_per_window << " ms/window, " << on.bytes
               << " bytes; load " << load_ms << " ms, save " << save_ms
               << " ms); outputs "

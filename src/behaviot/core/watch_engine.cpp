@@ -27,7 +27,8 @@ WatchEngine::WatchEngine(ModelHandle& models, DomainResolver resolver,
 
 void WatchEngine::ingest(std::span<const Packet> packets) {
   if (done_ || finished_) return;
-  obs::counter("watch.packets_in").add(packets.size());
+  static auto& packets_in = obs::counter("watch.packets_in");
+  packets_in.add(packets.size());
   assembler_.feed(packets);
   advance_windows(/*to_completion=*/false);
 }

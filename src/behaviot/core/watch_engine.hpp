@@ -129,14 +129,13 @@ class WatchEngine {
   /// Feeds a chunk of captured packets and evaluates every window the
   /// stream clock has closed. No-op once done().
   ///
-  /// Output is deterministic for identical chunking, not for any chunking:
-  /// sealed flows take their domain names from the resolver state when a
-  /// chunk is drained, so where a DNS/SNI binding arrives after (or is
-  /// re-resolved during) the flows it names, chunk boundaries can move an
-  /// alert by a window. Callers that must reproduce a run feed the same
-  /// chunks — the CLI ingests fixed 1024-packet chunks and --resume
-  /// restarts at a chunk boundary. Where every binding precedes its flows,
-  /// chunking carries no meaning (streaming ≡ batch; DESIGN.md §5h).
+  /// Output is the same for any chunking: one call per packet, one call
+  /// for the whole capture, or any split in between yields the same window
+  /// reports, alerts and retrain swaps. A flow's domain is fixed by the
+  /// resolver's state at the flow's last packet, not by when a chunk is
+  /// drained, so chunk boundaries carry no meaning (DESIGN.md §5h). The
+  /// CLI hands over whatever it has read at every `--follow` poll, and
+  /// --resume restarts at any packet offset.
   void ingest(std::span<const Packet> packets);
 
   /// End of stream: flushes the assembler and evaluates all remaining

@@ -163,7 +163,12 @@ void StreamingFlowAssembler::release(const Packet& p, Timestamp eff) {
   } else {
     lru_.splice(lru_.end(), lru_, it->second.lru);  // mark most recently active
   }
-  FlowRecord& rec = it->second.rec;
+  OpenFlow& of = it->second;
+  if (of.domain_epoch != resolver_->epoch()) {
+    of.rec.domain = resolver_->resolve(p.tuple.dst.ip);
+    of.domain_epoch = resolver_->epoch();
+  }
+  FlowRecord& rec = of.rec;
   rec.end = std::max(rec.end, eff);
   rec.packets.push_back({eff, p.size, p.dir, is_local_traffic(p)});
   ++open_packets_;
@@ -267,7 +272,6 @@ std::vector<FlowRecord> StreamingFlowAssembler::drain_sealed(Timestamp before) {
   std::vector<FlowRecord> out;
   out.reserve(picked.size());
   for (FlowRecord& rec : picked) {
-    rec.domain = resolver_->resolve(rec.tuple.dst.ip);
     if (options_.base.drop_infrastructure &&
         (rec.app == AppProtocol::kDns || rec.app == AppProtocol::kNtp)) {
       ++stats_.infrastructure_dropped;

@@ -87,7 +87,12 @@ struct StreamingAssemblerStats {
 /// sealed flows leave via drain_sealed(). The pipeline is:
 ///
 ///   feed ─→ clamp (1-packet look-ahead) ─→ reorder (horizon) ─→ open flows
-///        ─→ sealed flows ─→ drain_sealed (resolve + filter + sort)
+///        ─→ sealed flows ─→ drain_sealed (filter + sort)
+///
+/// A flow's domain is the resolver's answer as of the flow's last released
+/// packet — the gateway's causal view. Release order depends only on the
+/// packet sequence, never on how it was split into feed() calls, so neither
+/// does any flow.
 ///
 /// `seal_watermark()` tells the caller up to which instant the output is
 /// final: every flow starting before the watermark has been sealed, and no
@@ -107,7 +112,8 @@ class StreamingFlowAssembler {
   };
 
   /// `resolver` must outlive the assembler. Packets are offered to it in
-  /// release (timestamp) order; flow domains are resolved at drain time.
+  /// release (timestamp) order; each flow takes its domain from it as of
+  /// the flow's latest packet.
   StreamingFlowAssembler(StreamingAssemblerOptions options,
                          DomainResolver& resolver);
 
@@ -125,9 +131,9 @@ class StreamingFlowAssembler {
   /// Seals flows that can no longer be extended, hence non-const.
   [[nodiscard]] Timestamp seal_watermark();
 
-  /// Removes and returns sealed flows with start < `before`, annotated with
-  /// the resolver's current knowledge, infrastructure-filtered per options,
-  /// sorted by (start, tuple). Only final once seal_watermark() >= before.
+  /// Removes and returns sealed flows with start < `before`,
+  /// infrastructure-filtered per options, sorted by (start, tuple). Only
+  /// final once seal_watermark() >= before.
   std::vector<FlowRecord> drain_sealed(Timestamp before);
 
   /// Timestamp of the first packet released from the reorder stage (origin
@@ -154,7 +160,8 @@ class StreamingFlowAssembler {
 
   /// Restores a snapshot taken by export_state(), replacing all streaming
   /// state. The open-flow LRU order, reorder-heap layout and every counter
-  /// round-trip exactly.
+  /// round-trip exactly. Restored open flows keep their serialized domain
+  /// and re-resolve on their next packet, as the uninterrupted run would.
   void import_state(StreamingAssemblerState state);
 
  private:
@@ -167,6 +174,9 @@ class StreamingFlowAssembler {
   struct OpenFlow {
     FlowRecord rec;
     std::list<FiveTuple>::iterator lru;
+    /// Resolver epoch rec.domain was resolved at; re-resolved on the next
+    /// packet once the resolver's answers may have changed.
+    std::uint64_t domain_epoch = DomainResolver::kStaleEpoch;
   };
 
   void accept(const Packet& p);                 // clamp stage
@@ -238,7 +248,8 @@ struct StreamingAssemblerState {
 ///
 /// Packets are processed in timestamp order. Each packet is first offered to
 /// the resolver (so DNS/SNI seen earlier annotate later flows, mirroring an
-/// online gateway); flow domains are resolved when the flow is sealed.
+/// online gateway); a flow's domain is what the resolver knew at its last
+/// packet — a binding seen only after a flow ends does not name it.
 class FlowAssembler {
  public:
   explicit FlowAssembler(AssemblerOptions options = {});

@@ -10,6 +10,7 @@ namespace behaviot {
 
 void DomainResolver::add_reverse_dns(Ipv4Addr ip, std::string domain) {
   reverse_dns_[ip.value()] = std::move(domain);
+  ++epoch_;
 }
 
 bool DomainResolver::observe(const Packet& packet) {
@@ -20,7 +21,7 @@ bool DomainResolver::observe(const Packet& packet) {
     if (auto binding = parse_dns_response(packet.payload)) {
       static auto& dns_learned = obs::counter("ingest.dns_bindings");
       dns_learned.inc();
-      from_dns_[binding->address.value()] = binding->name;
+      learn(from_dns_, binding->address.value(), std::move(binding->name));
       return true;
     }
   }
@@ -28,21 +29,35 @@ bool DomainResolver::observe(const Packet& packet) {
     if (auto sni = parse_tls_sni(packet.payload)) {
       static auto& sni_learned = obs::counter("ingest.sni_bindings");
       sni_learned.inc();
-      from_sni_[packet.tuple.dst.ip.value()] = *sni;
+      learn(from_sni_, packet.tuple.dst.ip.value(), std::move(*sni));
       return true;
     }
   }
   return false;
 }
 
-std::string DomainResolver::resolve(Ipv4Addr ip) const {
+void DomainResolver::learn(
+    std::unordered_map<std::uint32_t, std::string>& map, std::uint32_t ip,
+    std::string name) {
+  // Most bindings are refreshes of what is already known (a device
+  // re-resolving the same name); only a changed answer moves the epoch.
+  auto [it, inserted] = map.try_emplace(ip, std::move(name));
+  if (!inserted) {
+    if (it->second == name) return;
+    it->second = std::move(name);
+  }
+  ++epoch_;
+}
+
+const std::string& DomainResolver::resolve(Ipv4Addr ip) const {
+  static const std::string kUnknown;
   if (auto it = from_dns_.find(ip.value()); it != from_dns_.end())
     return it->second;
   if (auto it = from_sni_.find(ip.value()); it != from_sni_.end())
     return it->second;
   if (auto it = reverse_dns_.find(ip.value()); it != reverse_dns_.end())
     return it->second;
-  return {};
+  return kUnknown;
 }
 
 namespace {
@@ -72,6 +87,7 @@ void DomainResolver::import_state(const DomainResolverState& state) {
   from_dns_.insert(state.dns.begin(), state.dns.end());
   from_sni_.insert(state.sni.begin(), state.sni.end());
   reverse_dns_.insert(state.reverse_dns.begin(), state.reverse_dns.end());
+  ++epoch_;
 }
 
 }  // namespace behaviot

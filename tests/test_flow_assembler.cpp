@@ -88,6 +88,30 @@ TEST(FlowAssembler, AnnotatesDomainFromDnsSeenEarlier) {
   EXPECT_EQ(flows[1].group_key(), "api.example.com|TLS");
 }
 
+TEST(FlowAssembler, DomainIsWhatTheResolverKnewAtTheFlowsLastPacket) {
+  // Flow A (port 40000) ends before the binding; flow B (port 40001) has a
+  // packet after it. Only B is named — a binding learned after a flow's
+  // last packet does not rename it, however late the capture is drained.
+  DomainResolver resolver;
+  const FlowAssembler assembler;
+  Packet dns;
+  dns.ts = Timestamp(300'000);
+  dns.tuple = {{Ipv4Addr(192, 168, 1, 7), 39000},
+               {Ipv4Addr(155, 33, 10, 53), 53},
+               Transport::kUdp};
+  dns.dir = Direction::kInbound;
+  dns.payload = make_dns_response(1, "api.example.com", Ipv4Addr(54, 1, 2, 3));
+  dns.size = 100;
+  const std::vector<Packet> packets{packet_at(0, 40000), packet_at(100, 40001),
+                                    dns, packet_at(600'000, 40001)};
+  const auto flows = assembler.assemble(packets, resolver);
+  ASSERT_EQ(flows.size(), 3u);
+  EXPECT_EQ(flows[0].tuple.src.port, 40000);
+  EXPECT_EQ(flows[0].domain, "");
+  EXPECT_EQ(flows[1].tuple.src.port, 40001);
+  EXPECT_EQ(flows[1].domain, "api.example.com");
+}
+
 TEST(FlowAssembler, BlankDomainGroupsFallBackToIp) {
   DomainResolver resolver;
   const FlowAssembler assembler;

@@ -101,5 +101,25 @@ TEST(DomainResolver, LaterDnsBindingWins) {
   EXPECT_EQ(resolver.resolve(addr), "new.example.com");
 }
 
+TEST(DomainResolver, EpochMovesOnlyWhenAnAnswerMayChange) {
+  DomainResolver resolver;
+  const Ipv4Addr addr(54, 3, 3, 3);
+  std::uint64_t epoch = resolver.epoch();
+  EXPECT_NE(epoch, DomainResolver::kStaleEpoch);
+  resolver.observe(dns_response_packet("a.example.com", addr));
+  EXPECT_NE(resolver.epoch(), epoch);  // new binding
+  epoch = resolver.epoch();
+  EXPECT_TRUE(resolver.observe(dns_response_packet("a.example.com", addr)));
+  EXPECT_EQ(resolver.epoch(), epoch);  // refresh: same answer
+  resolver.observe(dns_response_packet("b.example.com", addr));
+  EXPECT_NE(resolver.epoch(), epoch);  // changed binding
+  epoch = resolver.epoch();
+  resolver.add_reverse_dns(Ipv4Addr(54, 3, 3, 4), "rdns.example.com");
+  EXPECT_NE(resolver.epoch(), epoch);
+  epoch = resolver.epoch();
+  resolver.import_state(resolver.export_state());
+  EXPECT_NE(resolver.epoch(), epoch);
+}
+
 }  // namespace
 }  // namespace behaviot

@@ -408,13 +408,12 @@ void write_metrics_snapshot(obs::SnapshotWriter& writer,
   }
 }
 
-/// Rewrites watch's --alerts snapshot with every alert since the last
-/// rotation. Returns false (after reporting it) when the write failed.
-bool write_alerts_snapshot(obs::SnapshotWriter& writer,
-                           const std::vector<DeviationAlert>& alerts,
-                           const obs::HealthSnapshot& health,
-                           std::size_t window) {
-  if (writer.write(alerts_to_json(alerts, &health), window)) return true;
+/// Rewrites watch's --alerts snapshot with `document`, the rendered report
+/// of every alert since the last rotation. Returns false (after reporting
+/// it) when the write failed.
+bool write_alerts_document(obs::SnapshotWriter& writer,
+                           const std::string& document, std::size_t window) {
+  if (writer.write(document, window)) return true;
   std::fprintf(stderr, "error: cannot write alerts: %s\n",
                writer.last_error().c_str());
   return false;
@@ -752,6 +751,9 @@ int cmd_watch(const std::map<std::string, std::string>& flags) {
   // ingest() call, when all packets of the chunk lie below it. The sink
   // fires inside ingest() with the whole chunk inside engine state, so a
   // resume replaying from this offset replays no packet twice, loses none.
+  // Chunks are 1024 packets or whatever a --follow poll found, and the
+  // engine's output does not depend on that split, so a resume from any
+  // such offset continues the run exactly.
   std::uint64_t input_offset = resuming ? resume_cp->input_offset : 0;
   struct CheckpointTelemetry {
     bool written = false;
@@ -760,9 +762,19 @@ int cmd_watch(const std::map<std::string, std::string>& flags) {
     double write_ms = 0.0;
     std::chrono::steady_clock::time_point at{};
   } ck;
+  // The embedded model image changes only with the generation: serialize it
+  // once per model version, not once per checkpoint.
+  std::string models_image;
+  std::optional<std::uint64_t> models_image_version;
+  // `alerts_json` is the rendered report of `all_alerts` under `health`.
   auto write_checkpoint_now = [&](std::size_t window_index,
-                                  const obs::HealthSnapshot& health) {
+                                  const obs::HealthSnapshot& health,
+                                  std::string alerts_json) {
     if (checkpoint_path.empty()) return;
+    if (models_image_version != handle.version()) {
+      models_image = save_models_binary(*handle.acquire());
+      models_image_version = handle.version();
+    }
     WatchCheckpoint cp;
     cp.options.window_us = opts.window_us;
     cp.options.retrain_every_windows = opts.retrain_every_windows;
@@ -773,15 +785,17 @@ int cmd_watch(const std::map<std::string, std::string>& flags) {
     cp.options.max_open_flows = opts.assembler.max_open_flows;
     cp.options.max_buffered_packets = opts.assembler.max_buffered_packets;
     cp.engine = engine.export_state();
-    cp.models_image = save_models_binary(*handle.acquire());
+    cp.models_image = std::move(models_image);
     cp.model_version = handle.version();
     cp.input_offset = input_offset;
-    cp.alerts_json = alerts_to_json(all_alerts, &health);
+    cp.alerts_json = std::move(alerts_json);
     cp.health = health;
     const auto t_begin = std::chrono::steady_clock::now();
     obs::crash_point("window.before_checkpoint");
     std::string error;
-    if (!write_checkpoint_rotating(checkpoint_path, cp, &error)) {
+    const bool written = write_checkpoint_rotating(checkpoint_path, cp, &error);
+    models_image = std::move(cp.models_image);
+    if (!written) {
       std::fprintf(stderr, "error: cannot write checkpoint: %s\n",
                    error.c_str());
       obs::health().degrade("watch.checkpoint",
@@ -823,24 +837,31 @@ int cmd_watch(const std::map<std::string, std::string>& flags) {
     }
     all_alerts.insert(all_alerts.end(), r.alerts.begin(), r.alerts.end());
     const obs::HealthSnapshot health = obs::health().snapshot();
+    const bool checkpoint_due =
+        !checkpoint_path.empty() && (r.index + 1) % checkpoint_every == 0;
+    // One render serves the alerts snapshot and the checkpoint.
+    std::string alerts_json;
+    if (alerts_writer || checkpoint_due) {
+      alerts_json = alerts_to_json(all_alerts, &health);
+    }
     if (alerts_writer) {
       // Rewritten whole after every window: the file is always a complete,
       // valid report of the alerts emitted since the last rotation.
-      if (write_alerts_snapshot(*alerts_writer, all_alerts, health,
-                                r.index) &&
+      if (write_alerts_document(*alerts_writer, alerts_json, r.index) &&
           alerts_writer->rotated_last_write()) {
         // The archived generation holds everything so far; the next
         // generation reports only what follows. Concatenating the archives
         // with the live file reproduces the unrotated report exactly.
         all_alerts.clear();
+        if (checkpoint_due) alerts_json = alerts_to_json(all_alerts, &health);
       }
     }
-    if ((r.index + 1) % checkpoint_every == 0) {
+    if (checkpoint_due) {
       // The window sink is the engine's quiescent point (no retrain in
       // flight), so export_state() here is exact; the checkpoint cadence
       // keys off the absolute window index so interrupted and uninterrupted
       // runs checkpoint at identical instants.
-      write_checkpoint_now(r.index, health);
+      write_checkpoint_now(r.index, health, std::move(alerts_json));
     }
     if (metrics_writer || g_telemetry != nullptr) {
       obs::update_process_gauges();
@@ -965,24 +986,10 @@ int cmd_watch(const std::map<std::string, std::string>& flags) {
       ms -= slice;
     }
   };
-  if (follow) {
-    // Tail mode: at EOF verify the input is still the same growing file,
-    // then sleep one poll interval and retry. A --max-windows / --until-s
-    // stop or a shutdown signal ends the loop; a rotated/truncated input
-    // requests a reopen instead.
-    ropts.on_eof = [&]() {
-      if (engine.done() || g_signal_count.load() != 0) return false;
-      if (!input_intact()) {
-        reopen_requested = true;
-        return false;
-      }
-      interruptible_sleep(poll_ms);
-      return g_signal_count.load() == 0;
-    };
-  }
-
   // Chunked ingest: device annotation and chaos faults are applied per chunk,
-  // exactly as load_capture() does for the batch commands.
+  // exactly as load_capture() does for the batch commands. --chaos reseeds
+  // its RNG in every apply(), one call per chunk, so under --follow the
+  // injected faults depend on how the appends happened to arrive.
   std::vector<Packet> chunk;
   constexpr std::size_t kChunk = 1024;
   std::optional<std::ifstream> input;  // outlives reader (reader holds a ref)
@@ -998,6 +1005,25 @@ int cmd_watch(const std::map<std::string, std::string>& flags) {
     engine.ingest(chunk);
     chunk.clear();
   };
+  if (follow) {
+    // Tail mode: at EOF hand the engine everything read so far — a window
+    // whose closing packet just arrived is emitted now, not once 1024
+    // packets have piled up behind it — then verify the input is still the
+    // same growing file, sleep one poll interval and retry. A
+    // --max-windows / --until-s stop or a shutdown signal ends the loop; a
+    // rotated/truncated input requests a reopen instead.
+    ropts.on_eof = [&]() {
+      if (engine.done() || g_signal_count.load() != 0) return false;
+      flush_chunk();
+      if (engine.done()) return false;
+      if (!input_intact()) {
+        reopen_requested = true;
+        return false;
+      }
+      interruptible_sleep(poll_ms);
+      return g_signal_count.load() == 0;
+    };
+  }
 
   bool first_open = true;
   long backoff_ms = std::max<long>(1, poll_ms);
@@ -1041,6 +1067,9 @@ int cmd_watch(const std::map<std::string, std::string>& flags) {
         packet = reader->next();
       } catch (const ParseError& e) {
         if (!follow) throw;
+        // A stop decided at an EOF poll can leave a half-appended record
+        // behind; that is the end of this run, not a damaged input.
+        if (engine.done() || g_signal_count.load() != 0) break;
         std::fprintf(stderr, "watch: read error on %s (%s) — reopening\n",
                      capture_path.c_str(), e.what());
         read_error = true;
@@ -1080,7 +1109,8 @@ int cmd_watch(const std::map<std::string, std::string>& flags) {
     const std::size_t last_window =
         engine.windows_evaluated() == 0 ? 0 : engine.windows_evaluated() - 1;
     if (alerts_writer) {
-      (void)write_alerts_snapshot(*alerts_writer, all_alerts, health,
+      (void)write_alerts_document(*alerts_writer,
+                                  alerts_to_json(all_alerts, &health),
                                   last_window);
     }
     if (metrics_writer) {
@@ -1091,9 +1121,10 @@ int cmd_watch(const std::map<std::string, std::string>& flags) {
   if (!checkpoint_path.empty()) {
     // Final checkpoint after the stream is fully drained, regardless of
     // cadence: a --resume from it knows the run completed.
+    const obs::HealthSnapshot health = obs::health().snapshot();
     write_checkpoint_now(
         engine.windows_evaluated() == 0 ? 0 : engine.windows_evaluated() - 1,
-        obs::health().snapshot());
+        health, alerts_to_json(all_alerts, &health));
   }
 
   const StreamingAssemblerStats& st = engine.assembler_stats();
