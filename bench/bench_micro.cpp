@@ -526,10 +526,13 @@ TelemetryWatchRun time_telemetry_watch(const BehaviorModelSet& models,
 struct CheckpointWatchRun {
   double total_ms = 0.0;       ///< wall-clock for the whole ingest+finish
   double cpu_ms = 0.0;         ///< process CPU time for the same span
-  double checkpoint_ms = 0.0;  ///< time inside export + serialize + write
+  double checkpoint_ms = 0.0;  ///< time inside CheckpointJournal::commit
   std::size_t windows = 0;
   std::size_t alerts = 0;
-  std::uint64_t bytes = 0;  ///< size of the last checkpoint image
+  std::uint64_t appended_bytes = 0;  ///< bytes of every non-compacting commit
+  std::size_t appends = 0;
+  std::uint64_t compactions = 0;
+  std::uint64_t journal_bytes = 0;  ///< final journal size
 };
 
 /// Streams `packets` through a WatchEngine (30-min windows, retrain every 2
@@ -537,10 +540,8 @@ struct CheckpointWatchRun {
 /// measured against what a window actually costs, not an idle no-retrain
 /// shell). Both runs rewrite the per-window `--alerts` snapshot the way
 /// every operated daemon does; the on-run additionally does what `behaviot
-/// watch --checkpoint` does: export the full daemon state, serialize it
-/// with the embedded model image (re-serialized only when the generation
-/// changes) and the alerts document the snapshot already rendered, and
-/// write it through the rotating atomic path.
+/// watch --checkpoint` does: commit each window to a CheckpointJournal,
+/// with the alerts document the snapshot already rendered.
 CheckpointWatchRun time_checkpoint_watch(const BehaviorModelSet& models,
                                          std::span<const Packet> packets,
                                          bool with_checkpoint,
@@ -555,8 +556,8 @@ CheckpointWatchRun time_checkpoint_watch(const BehaviorModelSet& models,
   CheckpointWatchRun r;
   std::vector<DeviationAlert> all_alerts;
   obs::SnapshotWriter alerts_writer(alerts_path);
-  std::string models_image;
-  std::optional<std::uint64_t> models_image_version;
+  std::filesystem::remove(path);
+  CheckpointJournal journal(path);
   engine.set_window_sink([&](const WatchWindowReport& rep) {
     all_alerts.insert(all_alerts.end(), rep.alerts.begin(), rep.alerts.end());
     r.alerts += rep.alerts.size();
@@ -564,24 +565,14 @@ CheckpointWatchRun time_checkpoint_watch(const BehaviorModelSet& models,
     alerts_writer.write(alerts_json, rep.index);
     if (!with_checkpoint) return;
     const auto s0 = Clock::now();
-    if (models_image_version != handle.version()) {
-      models_image = save_models_binary(*handle.acquire());
-      models_image_version = handle.version();
-    }
     WatchCheckpoint cp;
-    cp.options.window_us = opts.window_us;
-    cp.engine = engine.export_state();
-    cp.models_image = std::move(models_image);
-    cp.model_version = handle.version();
+    cp.options = checkpoint_options(opts);
     cp.input_offset = rep.index + 1;  // stand-in for the capture offset
     cp.alerts_json = std::move(alerts_json);
-    std::string error;
-    const bool written = write_checkpoint_rotating(path, cp, &error);
-    models_image = std::move(cp.models_image);
-    if (written) {
-      std::error_code ec;
-      const auto size = std::filesystem::file_size(path, ec);
-      if (!ec) r.bytes = static_cast<std::uint64_t>(size);
+    if (journal.commit(std::move(cp), engine, handle) &&
+        !journal.last_commit_compacted()) {
+      r.appended_bytes += journal.last_commit_bytes();
+      ++r.appends;
     }
     r.checkpoint_ms +=
         std::chrono::duration<double, std::milli>(Clock::now() - s0).count();
@@ -597,6 +588,8 @@ CheckpointWatchRun time_checkpoint_watch(const BehaviorModelSet& models,
   r.total_ms =
       std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
   r.windows = engine.windows_evaluated();
+  r.compactions = journal.compactions();
+  r.journal_bytes = journal.journal_bytes();
   return r;
 }
 
@@ -781,8 +774,10 @@ bool write_pipeline_bench_json(const std::string& path) {
   // The gate compares process CPU time (user+sys): the wall clock of these
   // short runs mostly measures how long the filesystem takes to rename
   // over a file, not what telemetry costs; the wall ratio is reported
-  // beside it. Scrape latency is a real loopback HTTP round-trip against
-  // the populated registry left behind by the on-run.
+  // beside it. Each side is best-of-3 in CPU time, as in the checkpoint
+  // section: single runs of this length read 1.06x-1.21x back to back.
+  // Scrape latency is a real loopback HTTP round-trip against the
+  // populated registry left behind by the last on-run.
   bool telemetry_ok = true;
   {
     const BehaviorModelSet watch_models = watch_models_of(serial.serialized);
@@ -792,10 +787,17 @@ bool write_pipeline_bench_json(const std::string& path) {
         (std::filesystem::temp_directory_path() / "behaviot_bench_telemetry")
             .string();
     std::filesystem::create_directories(dir);
-    const TelemetryWatchRun off = time_telemetry_watch(
-        watch_models, eval.packets, /*with_telemetry=*/false, dir);
-    const TelemetryWatchRun on = time_telemetry_watch(
-        watch_models, eval.packets, /*with_telemetry=*/true, dir);
+    const auto best_of = [&](bool with_telemetry) {
+      TelemetryWatchRun best;
+      for (int rep = 0; rep < 3; ++rep) {
+        const TelemetryWatchRun run = time_telemetry_watch(
+            watch_models, eval.packets, with_telemetry, dir);
+        if (rep == 0 || run.cpu_ms < best.cpu_ms) best = run;
+      }
+      return best;
+    };
+    const TelemetryWatchRun off = best_of(/*with_telemetry=*/false);
+    const TelemetryWatchRun on = best_of(/*with_telemetry=*/true);
     // The registry still holds the on-run's watch.* families; scrape that.
     obs::TelemetryServer server;
     std::string server_error;
@@ -853,18 +855,20 @@ bool write_pipeline_bench_json(const std::string& path) {
               << " ms; outputs "
               << (same_output ? "identical" : "DIVERGED") << "\n";
   }
-  // Checkpoint overhead: the on-run writes a full rotating .bbc (engine
-  // export + embedded model image + alert report, atomic temp+rename+prev
-  // rotation) after every closed window — the worst-case cadence; real
-  // deployments thin it with --checkpoint-every. Both runs carry the
+  // Checkpoint overhead: the on-run commits every closed window to a .bbc
+  // journal (the window's FLOWS and STATE records appended in one write;
+  // a compacted image renamed over it after each retrain handoff or once
+  // the appends outgrow it) — the worst-case cadence; real deployments
+  // thin it with --checkpoint-every. Both runs carry the
   // per-window --alerts snapshot rewrite every operated daemon does, so
   // the ratio prices the checkpoint against a real window, and each side
   // is best-of-3 so a single scheduler hiccup can't fail the bound. The
   // bound is 1.2x the operated daemon's process CPU time (user+sys), which
   // prices export + serialize + write syscalls without the filesystem's
-  // rename latency; the wall ratio is reported beside it. Save/load
-  // round-trip latency on the final image rides along for the resume-time
-  // budget.
+  // rename latency; the wall ratio is reported beside it. Replaying the
+  // final journal and re-saving it (load, then save_checkpoint) gives the
+  // compacted image, which must round-trip byte-identically; the load and
+  // save latencies ride along for the resume-time budget.
   bool checkpoint_ok = true;
   {
     const BehaviorModelSet watch_models = watch_models_of(serial.serialized);
@@ -887,19 +891,18 @@ bool write_pipeline_bench_json(const std::string& path) {
     };
     const CheckpointWatchRun off = best_of(/*with_checkpoint=*/false);
     const CheckpointWatchRun on = best_of(/*with_checkpoint=*/true);
-    // Round-trip the final image once for save/load latency.
+    // Replay the final journal once for load/save latency.
     using Clock = std::chrono::steady_clock;
-    std::ifstream in(ck_path, std::ios::binary);
-    const std::string image((std::istreambuf_iterator<char>(in)),
-                            std::istreambuf_iterator<char>());
     const auto l0 = Clock::now();
-    const WatchCheckpoint loaded = load_checkpoint(binio::as_bytes(image));
+    const WatchCheckpoint loaded = load_checkpoint_file(ck_path);
     const double load_ms =
         std::chrono::duration<double, std::milli>(Clock::now() - l0).count();
     const auto s0 = Clock::now();
-    const std::string resaved = save_checkpoint(loaded);
+    const std::string compacted = save_checkpoint(loaded);
     const double save_ms =
         std::chrono::duration<double, std::milli>(Clock::now() - s0).count();
+    const std::string resaved =
+        save_checkpoint(load_checkpoint(binio::as_bytes(compacted)));
     std::filesystem::remove_all(dir);
     const double on_over_off = on.cpu_ms / off.cpu_ms;
     const double wall_on_over_off = on.total_ms / off.total_ms;
@@ -908,7 +911,12 @@ bool write_pipeline_bench_json(const std::string& path) {
                         : on.checkpoint_ms / static_cast<double>(on.windows);
     const bool same_output =
         on.windows == off.windows && on.alerts == off.alerts;
-    const bool round_trip_stable = resaved == image;
+    const bool round_trip_stable =
+        resaved == compacted && loaded.engine.windows == on.windows;
+    const double bytes_per_window =
+        on.appends == 0 ? 0.0
+                        : static_cast<double>(on.appended_bytes) /
+                              static_cast<double>(on.appends);
     const bool within_noise = on_over_off <= 1.2;
     checkpoint_ok = same_output && within_noise && round_trip_stable;
     os << "  \"checkpoint\": {\n"
@@ -922,7 +930,11 @@ bool write_pipeline_bench_json(const std::string& path) {
        << "    \"watch_wall_on_over_off\": " << wall_on_over_off << ",\n"
        << "    \"checkpoint_ms_per_window\": " << checkpoint_per_window
        << ",\n"
-       << "    \"checkpoint_bytes\": " << on.bytes << ",\n"
+       << "    \"checkpoint_bytes_per_window\": " << bytes_per_window
+       << ",\n"
+       << "    \"compactions\": " << on.compactions << ",\n"
+       << "    \"journal_bytes\": " << on.journal_bytes << ",\n"
+       << "    \"compacted_bytes\": " << compacted.size() << ",\n"
        << "    \"load_ms\": " << load_ms << ",\n"
        << "    \"save_ms\": " << save_ms << ",\n"
        << "    \"round_trip_stable\": "
@@ -933,8 +945,9 @@ bool write_pipeline_bench_json(const std::string& path) {
               << " ms plain vs " << on.cpu_ms << " ms checkpointed ("
               << on_over_off << "x; wall " << off.total_ms << " vs "
               << on.total_ms << " ms, " << wall_on_over_off << "x; "
-              << checkpoint_per_window << " ms/window, " << on.bytes
-              << " bytes; load " << load_ms << " ms, save " << save_ms
+              << checkpoint_per_window << " ms/window, " << bytes_per_window
+              << " bytes appended/window, " << on.compactions
+              << " compactions; load " << load_ms << " ms, save " << save_ms
               << " ms); outputs "
               << (same_output ? "identical" : "DIVERGED") << "\n";
   }

@@ -218,6 +218,13 @@ const std::uint8_t* Cursor::f64_array_bytes(std::size_t n, const char* what) {
   return raw;
 }
 
+std::span<const std::uint8_t> Cursor::bytes(std::size_t n, const char* what) {
+  need(n, what);
+  const auto view = bytes_.subspan(pos_, n);
+  pos_ += n;
+  return view;
+}
+
 void Cursor::need(std::size_t n, const char* what) {
   if (remaining() < n) {
     fail_at(offset(), std::string(section_) + " section truncated reading " +

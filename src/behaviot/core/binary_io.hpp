@@ -114,6 +114,9 @@ class Cursor {
   std::string_view str_view(const char* what);
   std::string str(const char* what) { return std::string(str_view(what)); }
 
+  /// Bounds-checked view of the next `n` raw bytes.
+  std::span<const std::uint8_t> bytes(std::size_t n, const char* what);
+
   /// Zero-copy POD array read: one memcpy from the image into `out`.
   void f64_array(std::vector<double>& out, std::size_t n, const char* what);
 

@@ -1,22 +1,24 @@
 #include "behaviot/core/checkpoint.hpp"
 
-#include <cstdio>
-#include <filesystem>
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <cerrno>
+#include <cstring>
 #include <fstream>
-#include <system_error>
 #include <utility>
 #include <vector>
 
 #include "behaviot/core/binary_io.hpp"
 #include "behaviot/obs/crash_point.hpp"
 #include "behaviot/obs/snapshot.hpp"
+#include "behaviot/obs/span.hpp"
 
 namespace behaviot {
 namespace {
 
 using binio::Cursor;
-using binio::ImageLayout;
-using binio::SectionEntry;
 using binio::put_i64;
 using binio::put_str;
 using binio::put_u16;
@@ -24,9 +26,7 @@ using binio::put_u32;
 using binio::put_u64;
 using binio::put_u8;
 
-constexpr binio::ImageFormat kBbcFormat{kCheckpointMagic,
-                                        kCheckpointFormatVersion, "bbc",
-                                        "watch checkpoint"};
+constexpr const char* kTag = "bbc";
 
 const char* section_name(std::uint32_t id) {
   switch (id) {
@@ -34,10 +34,17 @@ const char* section_name(std::uint32_t id) {
     case kCkptSectionAssembler: return "assembler";
     case kCkptSectionMonitor: return "monitor";
     case kCkptSectionResolver: return "resolver";
-    case kCkptSectionModels: return "models";
     case kCkptSectionFrontend: return "frontend";
-    case kCkptSectionRetrain: return "retrain";
     case kCkptSectionHealth: return "health";
+    default: return "unknown";
+  }
+}
+
+const char* record_name(std::uint32_t kind) {
+  switch (kind) {
+    case kCkptRecordModels: return "MODELS";
+    case kCkptRecordFlows: return "FLOWS";
+    case kCkptRecordState: return "STATE";
     default: return "unknown";
   }
 }
@@ -178,24 +185,22 @@ FlowRecord read_flow(Cursor& c) {
 /// count-cap unit for flow lists.
 constexpr std::size_t kMinFlowBytes = 2 + 13 + 1 + 4 + 8 + 8 + 8 + 1 + 4;
 
-void put_flows(std::string& out, const std::vector<FlowRecord>& flows) {
+void put_flows(std::string& out, std::span<const FlowRecord> flows) {
   put_u64(out, flows.size());
   for (const FlowRecord& f : flows) put_flow(out, f);
 }
 
-std::vector<FlowRecord> read_flows(Cursor& c, const char* what) {
+/// Appends the flow list at the cursor to `flows`.
+void read_flows(Cursor& c, const char* what, std::vector<FlowRecord>& flows) {
   const std::size_t n = c.count(what, kMinFlowBytes);
-  std::vector<FlowRecord> flows;
-  flows.reserve(n);
+  flows.reserve(flows.size() + n);
   for (std::size_t i = 0; i < n; ++i) flows.push_back(read_flow(c));
-  return flows;
 }
 
 // ---------------------------------------------------------------------------
-// Section writers.
+// STATE sections.
 
-std::string write_engine(const WatchCheckpoint& cp) {
-  std::string out;
+void put_engine(std::string& out, const WatchCheckpoint& cp) {
   const CheckpointOptions& o = cp.options;
   put_i64(out, o.window_us);
   put_u64(out, o.retrain_every_windows);
@@ -219,7 +224,6 @@ std::string write_engine(const WatchCheckpoint& cp) {
   put_u8(out, e.finished ? 1 : 0);
   put_u64(out, e.reported_force_sealed);
   put_u64(out, e.reported_late);
-  return out;
 }
 
 void read_engine(Cursor& c, WatchCheckpoint& cp) {
@@ -250,8 +254,7 @@ void read_engine(Cursor& c, WatchCheckpoint& cp) {
   if (!c.at_end()) c.fail("trailing bytes after engine state");
 }
 
-std::string write_assembler(const StreamingAssemblerState& a) {
-  std::string out;
+void put_assembler(std::string& out, const StreamingAssemblerState& a) {
   put_u8(out, a.pending.has_value() ? 1 : 0);
   if (a.pending) put_packet(out, *a.pending);
   put_u64(out, a.decided);
@@ -282,7 +285,6 @@ std::string write_assembler(const StreamingAssemblerState& a) {
   put_u64(out, st.force_released);
   put_u64(out, st.peak_open_flows);
   put_u64(out, st.peak_buffered_packets);
-  return out;
 }
 
 /// Minimum serialized Packet (empty payload) — count-cap unit for the
@@ -307,8 +309,8 @@ void read_assembler(Cursor& c, StreamingAssemblerState& a) {
   a.max_seen = read_ts(c, "max_seen");
   a.last_released = read_ts(c, "last_released");
   a.first_release = read_opt_ts(c, "first_release");
-  a.open = read_flows(c, "open flows");
-  a.sealed = read_flows(c, "sealed flows");
+  read_flows(c, "open flows", a.open);
+  read_flows(c, "sealed flows", a.sealed);
   a.finished = read_bool(c, "assembler finished");
   StreamingAssemblerStats& st = a.stats;
   st.packets_in = c.u64("packets_in");
@@ -325,8 +327,7 @@ void read_assembler(Cursor& c, StreamingAssemblerState& a) {
   if (!c.at_end()) c.fail("trailing bytes after assembler state");
 }
 
-std::string write_monitor(const DeviationMonitorState& m) {
-  std::string out;
+void put_monitor(std::string& out, const DeviationMonitorState& m) {
   put_u64(out, m.last_seen.size());
   for (const auto& [device, group, ts] : m.last_seen) {
     put_u16(out, device);
@@ -341,7 +342,6 @@ std::string write_monitor(const DeviationMonitorState& m) {
   put_u64(out, m.reported_sequences.size());
   for (const std::string& seq : m.reported_sequences) put_str(out, seq);
   put_u8(out, m.primed ? 1 : 0);
-  return out;
 }
 
 void read_monitor(Cursor& c, DeviationMonitorState& m) {
@@ -389,12 +389,10 @@ std::vector<std::pair<std::uint32_t, std::string>> read_bindings(
   return out;
 }
 
-std::string write_resolver(const DomainResolverState& r) {
-  std::string out;
+void put_resolver(std::string& out, const DomainResolverState& r) {
   put_bindings(out, r.dns);
   put_bindings(out, r.sni);
   put_bindings(out, r.reverse_dns);
-  return out;
 }
 
 void read_resolver(Cursor& c, DomainResolverState& r) {
@@ -404,24 +402,9 @@ void read_resolver(Cursor& c, DomainResolverState& r) {
   if (!c.at_end()) c.fail("trailing bytes after resolver state");
 }
 
-std::string write_models(const WatchCheckpoint& cp) {
-  std::string out;
-  put_u64(out, cp.model_version);
-  put_str(out, cp.models_image);
-  return out;
-}
-
-void read_models(Cursor& c, WatchCheckpoint& cp) {
-  cp.model_version = c.u64("model handle version");
-  cp.models_image = c.str("embedded model image");
-  if (!c.at_end()) c.fail("trailing bytes after models section");
-}
-
-std::string write_frontend(const WatchCheckpoint& cp) {
-  std::string out;
+void put_frontend(std::string& out, const WatchCheckpoint& cp) {
   put_u64(out, cp.input_offset);
   put_str(out, cp.alerts_json);
-  return out;
 }
 
 void read_frontend(Cursor& c, WatchCheckpoint& cp) {
@@ -430,8 +413,7 @@ void read_frontend(Cursor& c, WatchCheckpoint& cp) {
   if (!c.at_end()) c.fail("trailing bytes after frontend section");
 }
 
-std::string write_health(const obs::HealthSnapshot& snap) {
-  std::string out;
+void put_health(std::string& out, const obs::HealthSnapshot& snap) {
   put_u64(out, snap.components.size());
   for (const obs::ComponentHealth& comp : snap.components) {
     put_str(out, comp.component);
@@ -445,7 +427,6 @@ std::string write_health(const obs::HealthSnapshot& snap) {
       put_str(out, q.reason);
     }
   }
-  return out;
 }
 
 void read_health(Cursor& c, obs::HealthSnapshot& snap) {
@@ -478,146 +459,428 @@ void read_health(Cursor& c, obs::HealthSnapshot& snap) {
   if (!c.at_end()) c.fail("trailing bytes after health section");
 }
 
-}  // namespace
+// ---------------------------------------------------------------------------
+// Framing. Records and STATE sections share one frame: id u32, payload
+// size u64, payload; a record adds a CRC-32 over its whole frame.
 
-std::string save_checkpoint(const WatchCheckpoint& cp) {
-  const std::pair<std::uint32_t, std::string> sections[] = {
-      {kCkptSectionEngine, write_engine(cp)},
-      {kCkptSectionAssembler, write_assembler(cp.engine.assembler)},
-      {kCkptSectionMonitor, write_monitor(cp.engine.monitor)},
-      {kCkptSectionResolver, write_resolver(cp.engine.resolver)},
-      {kCkptSectionModels, write_models(cp)},
-      {kCkptSectionFrontend, write_frontend(cp)},
-      {kCkptSectionRetrain,
-       [&] {
-         std::string out;
-         put_flows(out, cp.engine.retrain_buffer);
-         return out;
-       }()},
-      {kCkptSectionHealth, write_health(cp.health)},
-  };
-  return binio::build_image(kBbcFormat, sections);
+/// Appends one frame whose payload is whatever `fill(out)` appends, written
+/// in place so no payload is copied. Returns the frame's start offset.
+template <typename Fill>
+std::size_t put_frame(std::string& out, std::uint32_t id, Fill&& fill) {
+  const std::size_t start = out.size();
+  put_u32(out, id);
+  put_u64(out, 0);  // patched below
+  fill(out);
+  std::uint64_t size = out.size() - start - kCkptRecordHeaderSize;
+  for (std::size_t i = 0; i < 8; ++i, size >>= 8) {
+    out[start + 4 + i] = static_cast<char>(size & 0xffu);
+  }
+  return start;
 }
 
-WatchCheckpoint load_checkpoint(std::span<const std::uint8_t> bytes,
-                                ParsePolicy policy, ParseStats* stats) {
-  const ImageLayout layout = binio::parse_layout(bytes, kBbcFormat);
-  if (!layout.crc_ok && policy == ParsePolicy::kStrict) {
-    binio::throw_crc_mismatch(layout, kBbcFormat);
-  }
-  if (!layout.crc_ok && stats != nullptr) ++stats->malformed;
+template <typename Fill>
+void put_record(std::string& out, std::uint32_t kind, Fill&& fill) {
+  const std::size_t start = put_frame(out, kind, std::forward<Fill>(fill));
+  put_u32(out, crc32_ieee(binio::as_bytes(out).subspan(start)));
+}
 
-  WatchCheckpoint cp;
-  bool seen[9] = {};
-  for (const SectionEntry& entry : layout.sections) {
-    Cursor c(bytes.subspan(entry.offset, entry.size), entry.offset,
-             section_name(entry.id), kBbcFormat.tag);
+void put_journal_header(std::string& out) {
+  put_u32(out, kCheckpointMagic);
+  put_u16(out, kCheckpointFormatVersion);
+  put_u16(out, 0);  // flags
+}
+
+void put_models_record(std::string& out, std::uint64_t version,
+                       std::string_view image) {
+  put_record(out, kCkptRecordModels, [&](std::string& o) {
+    put_u64(o, version);
+    put_str(o, image);
+  });
+}
+
+void put_flows_record(std::string& out, std::span<const FlowRecord> flows) {
+  put_record(out, kCkptRecordFlows,
+             [&](std::string& o) { put_flows(o, flows); });
+}
+
+void put_state_record(std::string& out, const WatchCheckpoint& cp) {
+  put_record(out, kCkptRecordState, [&](std::string& o) {
+    put_frame(o, kCkptSectionEngine,
+              [&](std::string& s) { put_engine(s, cp); });
+    put_frame(o, kCkptSectionAssembler,
+              [&](std::string& s) { put_assembler(s, cp.engine.assembler); });
+    put_frame(o, kCkptSectionMonitor,
+              [&](std::string& s) { put_monitor(s, cp.engine.monitor); });
+    put_frame(o, kCkptSectionResolver,
+              [&](std::string& s) { put_resolver(s, cp.engine.resolver); });
+    put_frame(o, kCkptSectionFrontend,
+              [&](std::string& s) { put_frontend(s, cp); });
+    put_frame(o, kCkptSectionHealth,
+              [&](std::string& s) { put_health(s, cp.health); });
+  });
+}
+
+std::string compacted_image(const WatchCheckpoint& cp,
+                            std::string_view models_image,
+                            std::span<const FlowRecord> flows) {
+  std::string out;
+  put_journal_header(out);
+  put_models_record(out, cp.model_version, models_image);
+  put_flows_record(out, flows);
+  put_state_record(out, cp);
+  return out;
+}
+
+/// One framed record of a loaded journal: the payload's absolute offset.
+/// Kind 0 (never written) marks "no such record".
+struct RecordView {
+  std::uint32_t kind = 0;
+  std::size_t offset = 0;
+  std::size_t size = 0;
+};
+
+Cursor payload_cursor(std::span<const std::uint8_t> bytes, const RecordView& r,
+                      const char* what) {
+  return Cursor(bytes.subspan(r.offset, r.size), r.offset, what, kTag);
+}
+
+void read_models(Cursor& c, WatchCheckpoint& cp) {
+  cp.model_version = c.u64("model handle version");
+  cp.models_image = c.str("embedded model image");
+  if (!c.at_end()) c.fail("trailing bytes after MODELS record");
+}
+
+void read_state(Cursor& c, WatchCheckpoint& cp, ParsePolicy policy,
+                ParseStats* stats) {
+  bool seen[kCkptSectionHealth + 1] = {};
+  while (!c.at_end()) {
+    const std::uint32_t id = c.u32("section id");
+    const std::uint64_t size = c.u64("section size");
+    if (size > c.remaining()) {
+      c.fail("section " + std::to_string(id) + " size (" +
+             std::to_string(size) + ") exceeds remaining STATE bytes");
+    }
+    const std::size_t at = c.offset();
+    Cursor s(c.bytes(static_cast<std::size_t>(size), "section payload"), at,
+             section_name(id), kTag);
     try {
-      switch (entry.id) {
-        case kCkptSectionEngine: read_engine(c, cp); break;
+      switch (id) {
+        case kCkptSectionEngine: read_engine(s, cp); break;
         case kCkptSectionAssembler:
-          read_assembler(c, cp.engine.assembler);
+          read_assembler(s, cp.engine.assembler);
           break;
-        case kCkptSectionMonitor: read_monitor(c, cp.engine.monitor); break;
-        case kCkptSectionResolver: read_resolver(c, cp.engine.resolver); break;
-        case kCkptSectionModels: read_models(c, cp); break;
-        case kCkptSectionFrontend: read_frontend(c, cp); break;
-        case kCkptSectionRetrain:
-          cp.engine.retrain_buffer = read_flows(c, "retrain buffer");
-          if (!c.at_end()) c.fail("trailing bytes after retrain buffer");
-          break;
-        case kCkptSectionHealth: read_health(c, cp.health); break;
+        case kCkptSectionMonitor: read_monitor(s, cp.engine.monitor); break;
+        case kCkptSectionResolver: read_resolver(s, cp.engine.resolver); break;
+        case kCkptSectionFrontend: read_frontend(s, cp); break;
+        case kCkptSectionHealth: read_health(s, cp.health); break;
         default:
           // Unknown section from a newer minor revision: skip its bytes.
-          break;
+          continue;
       }
     } catch (const SerializationError&) {
       // Only damage in state a resume can do without is droppable: the
       // health snapshot restores operator-facing context, not behavior.
       // Everything else is load-bearing — resuming from a guessed engine
-      // state would break the byte-identity guarantee silently, which is
-      // worse than failing over to FILE.prev loudly.
-      if (policy == ParsePolicy::kStrict || entry.id != kCkptSectionHealth) {
-        throw;
-      }
+      // state would break the byte-identity guarantee silently.
+      if (policy == ParsePolicy::kStrict || id != kCkptSectionHealth) throw;
       cp.health = {};
       if (stats != nullptr) ++stats->sections_dropped;
       continue;
     }
-    if (entry.id >= 1 && entry.id <= 8) seen[entry.id] = true;
+    seen[id] = true;
   }
-  for (std::uint32_t id = kCkptSectionEngine; id <= kCkptSectionRetrain;
-       ++id) {
+  for (const std::uint32_t id :
+       {kCkptSectionEngine, kCkptSectionAssembler, kCkptSectionMonitor,
+        kCkptSectionResolver, kCkptSectionFrontend}) {
     if (!seen[id]) {
-      throw SerializationError(std::string("bbc: missing required section: ") +
+      throw SerializationError(std::string(kTag) +
+                               ": missing required STATE section: " +
                                section_name(id));
     }
   }
-  return cp;
 }
 
-bool write_checkpoint_rotating(const std::string& path,
-                               const WatchCheckpoint& cp, std::string* error) {
-  const std::string image = save_checkpoint(cp);
-  std::error_code ec;
-  if (std::filesystem::exists(path, ec)) {
-    obs::crash_point("checkpoint.before_rotate");
-    // rename(2) is atomic and replaces any stale .prev; after it, the
-    // previous generation is intact under its new name even if we die
-    // before (or while) writing the new one.
-    std::filesystem::rename(path, path + ".prev", ec);
-    if (ec) {
-      if (error != nullptr) {
-        *error = "rotate failed: " + path + ": " + ec.message();
-      }
-      return false;
-    }
-    obs::crash_point("checkpoint.after_rotate");
+std::uint64_t read_le(std::span<const std::uint8_t> bytes, std::size_t at,
+                      std::size_t width) {
+  std::uint64_t v = 0;
+  for (std::size_t i = 0; i < width; ++i) {
+    v |= std::uint64_t{bytes[at + i]} << (8 * i);
   }
-  if (!obs::write_file_atomic(path, image, error)) return false;
-  obs::crash_point("checkpoint.after_write");
-  return true;
+  return v;
 }
 
-namespace {
-
-WatchCheckpoint load_checkpoint_file(const std::string& path,
-                                     ParsePolicy policy, ParseStats* stats) {
-  std::ifstream file(path, std::ios::binary);
-  if (!file) throw SerializationError("cannot open for read: " + path);
-  std::error_code ec;
-  const std::uintmax_t size = std::filesystem::file_size(path, ec);
-  if (ec) throw SerializationError("not a readable checkpoint file: " + path);
-  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(size));
-  if (size > 0 && !file.read(reinterpret_cast<char*>(bytes.data()),
-                             static_cast<std::streamsize>(size))) {
-    throw SerializationError("read failed: " + path);
-  }
-  return load_checkpoint(bytes, policy, stats);
+std::string errno_reason(const char* stage, const std::string& path) {
+  return std::string(stage) + " " + path + ": " + std::strerror(errno);
 }
 
 }  // namespace
 
-WatchCheckpoint load_checkpoint_resilient(const std::string& path,
-                                          std::string* source,
-                                          ParseStats* stats) {
-  try {
-    WatchCheckpoint cp = load_checkpoint_file(path, ParsePolicy::kStrict,
-                                              stats);
-    if (source != nullptr) *source = path;
-    return cp;
-  } catch (const SerializationError& primary) {
-    const std::string prev = path + ".prev";
-    try {
-      WatchCheckpoint cp =
-          load_checkpoint_file(prev, ParsePolicy::kLenient, stats);
-      if (source != nullptr) *source = prev;
-      return cp;
-    } catch (const SerializationError&) {
-      // The fallback failing is secondary; report why the primary did.
-      throw primary;
+CheckpointOptions checkpoint_options(const WatchOptions& opts) {
+  CheckpointOptions o;
+  o.window_us = opts.window_us;
+  o.retrain_every_windows = opts.retrain_every_windows;
+  o.burst_gap_us = opts.assembler.base.burst_gap_us;
+  o.drop_infrastructure = opts.assembler.base.drop_infrastructure;
+  o.max_ts_regression_us = opts.assembler.base.max_ts_regression_us;
+  o.reorder_horizon_us = opts.assembler.reorder_horizon_us;
+  o.max_open_flows = opts.assembler.max_open_flows;
+  o.max_buffered_packets = opts.assembler.max_buffered_packets;
+  return o;
+}
+
+void apply_checkpoint_options(const CheckpointOptions& pinned,
+                              WatchOptions& opts) {
+  opts.window_us = pinned.window_us;
+  opts.retrain_every_windows =
+      static_cast<std::size_t>(pinned.retrain_every_windows);
+  opts.assembler.base.burst_gap_us = pinned.burst_gap_us;
+  opts.assembler.base.drop_infrastructure = pinned.drop_infrastructure;
+  opts.assembler.base.max_ts_regression_us = pinned.max_ts_regression_us;
+  opts.assembler.reorder_horizon_us = pinned.reorder_horizon_us;
+  opts.assembler.max_open_flows =
+      static_cast<std::size_t>(pinned.max_open_flows);
+  opts.assembler.max_buffered_packets =
+      static_cast<std::size_t>(pinned.max_buffered_packets);
+}
+
+std::string save_checkpoint(const WatchCheckpoint& cp) {
+  return compacted_image(cp, cp.models_image, cp.engine.retrain_buffer);
+}
+
+WatchCheckpoint load_checkpoint(std::span<const std::uint8_t> bytes,
+                                ParsePolicy policy, ParseStats* stats,
+                                JournalExtent* extent) {
+  Cursor header(bytes, 0, "header", kTag);
+  if (header.u32("magic") != kCheckpointMagic) {
+    throw SerializationError(
+        std::string(kTag) + ": bad magic (not a watch checkpoint file)",
+        std::size_t{0});
+  }
+  const std::uint16_t version = header.u16("version");
+  if (version != kCheckpointFormatVersion) {
+    throw SerializationError(
+        std::string(kTag) + ": checkpoint format version " +
+            std::to_string(version) + " is not supported (this build reads "
+            "version " + std::to_string(kCheckpointFormatVersion) +
+            "; restart the run from its capture)",
+        std::size_t{4});
+  }
+  if (header.u16("flags") != 0) {
+    throw SerializationError(std::string(kTag) + ": unknown header flags",
+                             std::size_t{6});
+  }
+
+  // Scan the framing: the last complete STATE commits the MODELS and FLOWS
+  // records before it. A record that runs past the end of the input is the
+  // torn tail of an interrupted append; it and everything after the last
+  // STATE are ignored.
+  RecordView models, pending_models, state;
+  std::vector<RecordView> flows;
+  std::size_t committed_flows = 0;
+  JournalExtent ext;
+  std::size_t pos = kCkptHeaderSize;
+  while (bytes.size() - pos >= kCkptRecordOverhead) {
+    RecordView r;
+    r.kind = static_cast<std::uint32_t>(read_le(bytes, pos, 4));
+    const std::uint64_t size = read_le(bytes, pos + 4, 8);
+    if (size > bytes.size() - pos - kCkptRecordOverhead) break;
+    r.offset = pos + kCkptRecordHeaderSize;
+    r.size = static_cast<std::size_t>(size);
+    const std::size_t end = r.offset + r.size + 4;
+    const auto stored = static_cast<std::uint32_t>(read_le(bytes, end - 4, 4));
+    const std::uint32_t computed =
+        crc32_ieee(bytes.subspan(pos, end - 4 - pos));
+    if (stored != computed) {
+      if (policy == ParsePolicy::kStrict) {
+        throw SerializationError(std::string(kTag) + ": CRC mismatch in " +
+                                     record_name(r.kind) + " record (stored " +
+                                     std::to_string(stored) + ", computed " +
+                                     std::to_string(computed) + ")",
+                                 pos);
+      }
+      if (stats != nullptr) ++stats->malformed;
+      break;
+    }
+    switch (r.kind) {
+      case kCkptRecordModels: pending_models = r; break;
+      case kCkptRecordFlows: flows.push_back(r); break;
+      case kCkptRecordState:
+        state = r;
+        if (pending_models.kind != 0) models = pending_models;
+        pending_models = {};
+        committed_flows = flows.size();
+        ext.committed_bytes = end;
+        if (ext.compacted_bytes == 0) ext.compacted_bytes = end;
+        break;
+      default:
+        break;  // unknown kind from a newer minor revision: skip it
+    }
+    pos = end;
+  }
+  if (state.kind == 0) {
+    throw SerializationError(
+        std::string(kTag) +
+            ": no complete STATE record (the journal commits no checkpoint)",
+        pos);
+  }
+  if (models.kind == 0) {
+    throw SerializationError(
+        std::string(kTag) + ": no MODELS record before the last STATE record",
+        state.offset - kCkptRecordHeaderSize);
+  }
+
+  WatchCheckpoint cp;
+  Cursor mc = payload_cursor(bytes, models, "MODELS");
+  read_models(mc, cp);
+  for (std::size_t i = 0; i < committed_flows; ++i) {
+    Cursor fc = payload_cursor(bytes, flows[i], "FLOWS");
+    read_flows(fc, "retrain flows", cp.engine.retrain_buffer);
+    if (!fc.at_end()) fc.fail("trailing bytes after FLOWS record");
+  }
+  Cursor sc = payload_cursor(bytes, state, "STATE");
+  read_state(sc, cp, policy, stats);
+  ext.model_version = cp.model_version;
+  ext.flows = cp.engine.retrain_buffer.size();
+  if (extent != nullptr) *extent = ext;
+  return cp;
+}
+
+WatchCheckpoint load_checkpoint_file(const std::string& path,
+                                     JournalExtent* extent) {
+  std::ifstream file(path, std::ios::binary);
+  if (!file) throw SerializationError("cannot open for read: " + path);
+  const std::string bytes((std::istreambuf_iterator<char>(file)),
+                          std::istreambuf_iterator<char>());
+  if (file.bad()) throw SerializationError("read failed: " + path);
+  return load_checkpoint(binio::as_bytes(bytes), ParsePolicy::kStrict,
+                         nullptr, extent);
+}
+
+// ---------------------------------------------------------------------------
+// CheckpointJournal
+
+CheckpointJournal::CheckpointJournal(std::string path)
+    : path_(std::move(path)) {}
+
+CheckpointJournal::CheckpointJournal(std::string path,
+                                     const JournalExtent& extent)
+    : path_(std::move(path)),
+      needs_compaction_(false),
+      journal_bytes_(extent.committed_bytes),
+      compacted_bytes_(extent.compacted_bytes),
+      journaled_flows_(extent.flows),
+      journaled_version_(extent.model_version) {
+  // Drop the torn or uncommitted tail so the next append lands right after
+  // the last committed STATE.
+  struct stat st {};
+  if (::stat(path_.c_str(), &st) != 0 ||
+      static_cast<std::uint64_t>(st.st_size) < journal_bytes_) {
+    throw SerializationError("checkpoint journal changed since it was "
+                             "loaded: " + path_);
+  }
+  if (static_cast<std::uint64_t>(st.st_size) > journal_bytes_ &&
+      ::truncate(path_.c_str(), static_cast<off_t>(journal_bytes_)) != 0) {
+    throw SerializationError(errno_reason("truncate", path_));
+  }
+}
+
+CheckpointJournal::~CheckpointJournal() { close_fd(); }
+
+void CheckpointJournal::close_fd() {
+  if (fd_ >= 0) ::close(fd_);
+  fd_ = -1;
+}
+
+bool CheckpointJournal::commit(WatchCheckpoint cp, const WatchEngine& engine,
+                               const ModelHandle& models, std::string* error) {
+  {
+    obs::StageSpan span("checkpoint.export");
+    cp.engine = engine.export_state_without_retrain_buffer();
+    cp.model_version = models.version();
+  }
+  const std::span<const FlowRecord> buffer = engine.retrain_buffer();
+  // Compact when the journaled flows went to a retrain (they are no longer
+  // the buffer) or when the appends since the last compaction outgrew it.
+  if (engine.retrain_handoffs() != handoffs_ ||
+      buffer.size() < journaled_flows_ ||
+      journal_bytes_ - compacted_bytes_ > compacted_bytes_) {
+    needs_compaction_ = true;
+  }
+  const bool compacting = needs_compaction_;
+  const bool new_models = cp.model_version != journaled_version_;
+  std::string out;
+  {
+    obs::StageSpan span("checkpoint.serialize");
+    if ((compacting || new_models) && image_version_ != cp.model_version) {
+      models_image_ = save_models_binary(*models.acquire());
+      image_version_ = cp.model_version;
+    }
+    if (compacting) {
+      out = compacted_image(cp, models_image_, buffer);
+    } else {
+      if (new_models) put_models_record(out, cp.model_version, models_image_);
+      if (buffer.size() > journaled_flows_) {
+        put_flows_record(out, buffer.subspan(journaled_flows_));
+      }
+      put_state_record(out, cp);
     }
   }
+  obs::crash_point("checkpoint.before_write");
+  bool ok = false;
+  {
+    obs::StageSpan span("checkpoint.write");
+    if (compacting) {
+      close_fd();
+      ok = obs::write_file_atomic(path_, out, error);
+    } else {
+      ok = append(out, error);
+    }
+  }
+  if (!ok) {
+    // Whatever is on disk still replays to the previous commit; rewrite it
+    // whole next time rather than append after a possibly torn tail.
+    needs_compaction_ = true;
+    return false;
+  }
+  if (compacting) {
+    compacted_bytes_ = journal_bytes_ = out.size();
+    ++compactions_;
+    needs_compaction_ = false;
+  } else {
+    journal_bytes_ += out.size();
+  }
+  handoffs_ = engine.retrain_handoffs();
+  journaled_flows_ = buffer.size();
+  journaled_version_ = cp.model_version;
+  last_commit_bytes_ = out.size();
+  last_commit_compacted_ = compacting;
+  obs::crash_point("checkpoint.after_write");
+  return true;
+}
+
+bool CheckpointJournal::append(const std::string& records,
+                               std::string* error) {
+  if (fd_ < 0) {
+    fd_ = ::open(path_.c_str(), O_WRONLY | O_APPEND | O_CLOEXEC);
+    if (fd_ < 0) {
+      if (error != nullptr) *error = errno_reason("open", path_);
+      return false;
+    }
+  }
+  // One write(2) in the normal case; the loop only resumes a short write.
+  std::size_t done = 0;
+  while (done < records.size()) {
+    const ::ssize_t n =
+        ::write(fd_, records.data() + done, records.size() - done);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) {
+      if (error != nullptr) *error = errno_reason("append", path_);
+      close_fd();
+      return false;
+    }
+    done += static_cast<std::size_t>(n);
+  }
+  return true;
 }
 
 }  // namespace behaviot

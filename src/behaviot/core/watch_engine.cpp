@@ -200,6 +200,7 @@ void WatchEngine::launch_retrain() {
     return f.wait_for(std::chrono::seconds(0)) == std::future_status::ready;
   });
   obs::counter("watch.retrains").inc();
+  ++retrain_handoffs_;
   const double duration_s =
       static_cast<double>(options_.retrain_every_windows) *
       static_cast<double>(options_.window_us) / 1e6;
@@ -281,6 +282,12 @@ void WatchEngine::join_retrain_and_swap() {
 }
 
 WatchEngineState WatchEngine::export_state() const {
+  WatchEngineState s = export_state_without_retrain_buffer();
+  s.retrain_buffer = retrain_buffer_;
+  return s;
+}
+
+WatchEngineState WatchEngine::export_state_without_retrain_buffer() const {
   if (retrain_.valid()) {
     throw std::logic_error(
         "WatchEngine::export_state: retrain in flight — snapshot only from "
@@ -300,7 +307,6 @@ WatchEngineState WatchEngine::export_state() const {
   s.finished = finished_;
   s.reported_force_sealed = reported_force_sealed_;
   s.reported_late = reported_late_;
-  s.retrain_buffer = retrain_buffer_;
   s.assembler = assembler_.export_state();
   s.monitor = monitor_.export_state();
   s.resolver = resolver_.export_state();

@@ -176,6 +176,20 @@ class WatchEngine {
   /// in flight — guaranteed inside the window sink; calling with a retrain
   /// pending throws std::logic_error.
   [[nodiscard]] WatchEngineState export_state() const;
+  /// export_state() with the retrain buffer left empty: a checkpoint journal
+  /// reads the buffer incrementally through retrain_buffer() instead of
+  /// copying it at every window.
+  [[nodiscard]] WatchEngineState export_state_without_retrain_buffer() const;
+  /// Flows gathered for the next retrain, in arrival order. Grows at every
+  /// window close and empties when handed to a retrain.
+  [[nodiscard]] std::span<const FlowRecord> retrain_buffer() const {
+    return retrain_buffer_;
+  }
+  /// How many times this engine handed its retrain buffer to a retrain,
+  /// counting the launch import_state() replays.
+  [[nodiscard]] std::uint64_t retrain_handoffs() const {
+    return retrain_handoffs_;
+  }
   /// Restores a snapshot into a freshly constructed engine (before any
   /// ingest). The ModelHandle must already hold the checkpointed
   /// generation; the monitor is rebound to it here. Replays the retrain
@@ -211,6 +225,7 @@ class WatchEngine {
   bool finished_ = false;
 
   std::vector<FlowRecord> retrain_buffer_;
+  std::uint64_t retrain_handoffs_ = 0;
   std::future<BehaviorModelSet> retrain_;
   /// Launch instant of retrain_, for the retrain_timeout_s watchdog.
   std::chrono::steady_clock::time_point retrain_launched_at_{};

@@ -7,6 +7,7 @@
 #include <cstring>
 #include <utility>
 
+#include "behaviot/obs/crash_point.hpp"
 #include "behaviot/obs/metrics.hpp"
 
 namespace behaviot::obs {
@@ -49,6 +50,7 @@ bool write_file_atomic(const std::string& path, std::string_view content,
     std::remove(tmp.c_str());
     return false;
   }
+  crash_point("atomic_write.before_rename");
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {
     set_error(error, "rename", path);
     std::remove(tmp.c_str());

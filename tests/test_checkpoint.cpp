@@ -1,17 +1,20 @@
-// Crash-safety tests for the `.bbc` watch-checkpoint format and the
-// kill/resume invariant: a daemon killed with SIGKILL at any checkpoint
-// instant and resumed from the written checkpoint must produce an alert
-// stream byte-identical to the uninterrupted run — at any thread count and
-// any ingest chunking. The format half of the suite hammers the image
-// itself: truncations at every section boundary, bit flips, missing and
-// unknown sections, rotation fallback.
+// Crash-safety tests for the `.bbc` checkpoint journal and the kill/resume
+// invariant: a daemon killed with SIGKILL at any point of a checkpoint
+// append — at every record boundary, or mid-record leaving a torn tail — and
+// resumed from the journal it left must produce an alert stream identical
+// to the uninterrupted run, at any thread count and any ingest chunking.
+// The format half of the suite hammers the journal itself: replay equals
+// the full export at every window, truncations, bit flips, missing and
+// unknown records and sections, version-1 refusal, bounded growth.
 #include "behaviot/core/checkpoint.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <span>
 #include <string>
 #include <utility>
@@ -31,9 +34,6 @@ namespace behaviot {
 namespace {
 
 constexpr std::int64_t kWindowUs = 30 * 60 * 1'000'000LL;
-
-const binio::ImageFormat kBbcFormat{kCheckpointMagic, kCheckpointFormatVersion,
-                                    "bbc", "watch checkpoint"};
 
 /// Shared fixture, built once per binary (heavy: trains real periodic
 /// models from generated idle traffic; mirrors test_watch so alerts exist).
@@ -64,23 +64,31 @@ WatchOptions watch_options() {
   return opts;
 }
 
-WatchCheckpoint make_checkpoint(const WatchEngine& engine,
-                                const ModelHandle& handle,
-                                const WatchOptions& opts,
+std::string temp_path(const std::string& name) {
+  const auto dir =
+      std::filesystem::path(::testing::TempDir()) / "behaviot_checkpoint";
+  std::filesystem::create_directories(dir);
+  return (dir / name).string();
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+void write_file(const std::string& path, std::string_view bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/// What the window sink hands the journal: everything but engine state and
+/// models. The health block is synthetic so it round-trips real content.
+WatchCheckpoint sink_checkpoint(const WatchOptions& opts,
                                 std::uint64_t input_offset,
                                 std::span<const DeviationAlert> alerts) {
   WatchCheckpoint cp;
-  cp.options.window_us = opts.window_us;
-  cp.options.retrain_every_windows = opts.retrain_every_windows;
-  cp.options.burst_gap_us = opts.assembler.base.burst_gap_us;
-  cp.options.drop_infrastructure = opts.assembler.base.drop_infrastructure;
-  cp.options.max_ts_regression_us = opts.assembler.base.max_ts_regression_us;
-  cp.options.reorder_horizon_us = opts.assembler.reorder_horizon_us;
-  cp.options.max_open_flows = opts.assembler.max_open_flows;
-  cp.options.max_buffered_packets = opts.assembler.max_buffered_packets;
-  cp.engine = engine.export_state();
-  cp.models_image = save_models_binary(*handle.acquire());
-  cp.model_version = handle.version();
+  cp.options = checkpoint_options(opts);
   cp.input_offset = input_offset;
   cp.alerts_json = alerts_to_json(alerts);
   obs::ComponentHealth synthetic;
@@ -92,35 +100,66 @@ WatchCheckpoint make_checkpoint(const WatchEngine& engine,
   return cp;
 }
 
-/// One serialized checkpoint from the reference run, with the number of
-/// packets that were inside engine state when it was taken (the engine-level
-/// stand-in for the CLI's pcap byte offset).
+/// The same checkpoint with the full engine export and model image, as one
+/// compacted image: what the journal must replay to.
+std::string full_image(const WatchEngine& engine, const ModelHandle& handle,
+                       const WatchOptions& opts, std::uint64_t input_offset,
+                       std::span<const DeviationAlert> alerts) {
+  WatchCheckpoint cp = sink_checkpoint(opts, input_offset, alerts);
+  cp.engine = engine.export_state();
+  cp.models_image = save_models_binary(*handle.acquire());
+  cp.model_version = handle.version();
+  return save_checkpoint(cp);
+}
+
+/// One window's checkpoint in the reference run: the journal file right
+/// after the commit, where that commit's records start (0 when it compacted
+/// the journal), the full image it must replay to, and the number of packets
+/// inside engine state (the engine-level stand-in for the CLI's pcap byte
+/// offset).
 struct TakenCheckpoint {
-  std::string bytes;
+  std::string journal;
+  std::size_t append_start = 0;
+  std::string image;
   std::size_t fed = 0;
 };
 
 struct ReferenceRun {
   std::vector<DeviationAlert> alerts;
   std::vector<TakenCheckpoint> checkpoints;
+  std::uint64_t compactions = 0;
 };
 
-/// The uninterrupted run: ingest in `chunk`-sized pieces and serialize a
-/// full checkpoint at every window sink — exactly where the CLI writes its
-/// rotating file. The fed-packet count is captured before each ingest()
-/// because the sink fires inside it, with the whole chunk in engine state.
+/// The uninterrupted run: ingest in `chunk`-sized pieces and commit a
+/// checkpoint to a journal at every window sink — exactly where the CLI
+/// does. The fed-packet count is captured before each ingest() because the
+/// sink fires inside it, with the whole chunk in engine state.
 ReferenceRun run_checkpointed(const BehaviorModelSet& models,
                               const std::vector<Packet>& packets,
-                              const WatchOptions& opts, std::size_t chunk) {
+                              const WatchOptions& opts, std::size_t chunk,
+                              const std::string& journal_path) {
+  std::filesystem::remove(journal_path);
   ModelHandle handle(models);
   WatchEngine engine(handle, DomainResolver{}, opts);
+  CheckpointJournal journal(journal_path);
   ReferenceRun run;
   std::size_t fed = 0;
   engine.set_window_sink([&](const WatchWindowReport& r) {
     run.alerts.insert(run.alerts.end(), r.alerts.begin(), r.alerts.end());
-    const WatchCheckpoint cp =
-        make_checkpoint(engine, handle, opts, fed, run.alerts);
-    run.checkpoints.push_back({save_checkpoint(cp), fed});
+    std::string error;
+    ASSERT_TRUE(journal.commit(sink_checkpoint(opts, fed, run.alerts), engine,
+                               handle, &error))
+        << error;
+    TakenCheckpoint taken;
+    taken.journal = read_file(journal_path);
+    EXPECT_EQ(taken.journal.size(), journal.journal_bytes());
+    taken.append_start = journal.last_commit_compacted()
+                             ? 0
+                             : taken.journal.size() -
+                                   journal.last_commit_bytes();
+    taken.image = full_image(engine, handle, opts, fed, run.alerts);
+    taken.fed = fed;
+    run.checkpoints.push_back(std::move(taken));
   });
   const std::span<const Packet> all(packets);
   for (std::size_t i = 0; i < all.size() && !engine.done(); i += chunk) {
@@ -129,52 +168,73 @@ ReferenceRun run_checkpointed(const BehaviorModelSet& models,
     engine.ingest(part);
   }
   engine.finish();
+  run.compactions = journal.compactions();
   return run;
+}
+
+const ReferenceRun& reference_run() {
+  static const ReferenceRun* run = new ReferenceRun(run_checkpointed(
+      fixture().models, fixture().eval_packets, watch_options(), 1024,
+      temp_path("reference.bbc")));
+  return *run;
 }
 
 struct ResumeResult {
   std::vector<DeviationAlert> alerts;  ///< emitted after the resume point
   std::size_t alerts_before = 0;       ///< checkpointed alert count
+  std::string journal;                 ///< continued journal (if any)
 };
 
-/// The kill -9 + resume side: everything the fresh process has is the .bbc
-/// image and the capture tail. Models come from the embedded image, the
-/// engine from import_state(), and the remaining packets replay from the
-/// checkpointed position.
-ResumeResult resume_and_finish(const std::string& bbc,
+/// The kill -9 + resume side: everything the fresh process has is the
+/// journal file and the capture tail. Models come from the replayed MODELS
+/// record, the engine from import_state(), and the remaining packets replay
+/// from the checkpointed position. With `continue_journal`, the resumed run
+/// keeps appending to the journal it loaded, as `watch --resume F
+/// --checkpoint F` does.
+ResumeResult resume_and_finish(const std::string& path,
                                const std::vector<Packet>& packets,
-                               std::size_t chunk) {
-  WatchCheckpoint cp = load_checkpoint(binio::as_bytes(bbc));
+                               std::size_t chunk,
+                               bool continue_journal = false) {
+  JournalExtent extent;
+  WatchCheckpoint cp = load_checkpoint_file(path, &extent);
   ModelHandle handle{BehaviorModelSet{}};
   handle.restore(load_models_binary(binio::as_bytes(cp.models_image)),
                  cp.model_version);
   WatchOptions opts;
-  opts.window_us = cp.options.window_us;
-  opts.retrain_every_windows =
-      static_cast<std::size_t>(cp.options.retrain_every_windows);
-  opts.assembler.base.burst_gap_us = cp.options.burst_gap_us;
-  opts.assembler.base.drop_infrastructure = cp.options.drop_infrastructure;
-  opts.assembler.base.max_ts_regression_us = cp.options.max_ts_regression_us;
-  opts.assembler.reorder_horizon_us = cp.options.reorder_horizon_us;
-  opts.assembler.max_open_flows =
-      static_cast<std::size_t>(cp.options.max_open_flows);
-  opts.assembler.max_buffered_packets =
-      static_cast<std::size_t>(cp.options.max_buffered_packets);
+  apply_checkpoint_options(cp.options, opts);
   WatchEngine engine(handle, DomainResolver{}, opts);
   ResumeResult result;
   result.alerts_before = cp.engine.alerts;
   engine.import_state(std::move(cp.engine));
+  std::optional<CheckpointJournal> journal;
+  if (continue_journal) journal.emplace(path, extent);
+  // The alerts document continues from the checkpointed one, as the CLI's.
+  std::vector<DeviationAlert> all_alerts =
+      continue_journal ? alerts_from_json(cp.alerts_json)
+                       : std::vector<DeviationAlert>{};
+  std::size_t fed = static_cast<std::size_t>(cp.input_offset);
   engine.set_window_sink([&](const WatchWindowReport& r) {
     result.alerts.insert(result.alerts.end(), r.alerts.begin(),
                          r.alerts.end());
+    if (!journal) return;
+    all_alerts.insert(all_alerts.end(), r.alerts.begin(), r.alerts.end());
+    std::string error;
+    ASSERT_TRUE(journal->commit(sink_checkpoint(opts, fed, all_alerts),
+                                engine, handle, &error))
+        << error;
+    // No torn byte survives under the appended records.
+    EXPECT_EQ(std::filesystem::file_size(path), journal->journal_bytes());
   });
   const std::span<const Packet> rest =
       std::span<const Packet>(packets).subspan(
           static_cast<std::size_t>(cp.input_offset));
   for (std::size_t i = 0; i < rest.size() && !engine.done(); i += chunk) {
-    engine.ingest(rest.subspan(i, std::min(chunk, rest.size() - i)));
+    const auto part = rest.subspan(i, std::min(chunk, rest.size() - i));
+    fed = static_cast<std::size_t>(cp.input_offset) + i + part.size();
+    engine.ingest(part);
   }
   engine.finish();
+  if (journal) result.journal = read_file(path);
   return result;
 }
 
@@ -191,39 +251,186 @@ void expect_same_alerts(std::span<const DeviationAlert> a,
   }
 }
 
-/// One full checkpoint the format tests dissect (taken mid-run, after a
-/// retrain swap, so every section carries real content).
+/// Loads `journal` (in `policy`) and re-saves what it commits as one
+/// compacted image.
+std::string replayed(std::string_view journal,
+                     ParsePolicy policy = ParsePolicy::kStrict,
+                     JournalExtent* extent = nullptr) {
+  return save_checkpoint(load_checkpoint(
+      {reinterpret_cast<const std::uint8_t*>(journal.data()), journal.size()},
+      policy, nullptr, extent));
+}
+
+/// Offsets where each complete record of `journal` ends.
+std::vector<std::size_t> record_ends(const std::string& journal) {
+  std::vector<std::size_t> ends;
+  std::size_t pos = kCkptHeaderSize;
+  while (journal.size() - pos >= kCkptRecordOverhead) {
+    std::uint64_t size = 0;
+    for (std::size_t i = 0; i < 8; ++i) {
+      size |= std::uint64_t{static_cast<std::uint8_t>(journal[pos + 4 + i])}
+              << (8 * i);
+    }
+    if (size > journal.size() - pos - kCkptRecordOverhead) break;
+    pos += kCkptRecordOverhead + static_cast<std::size_t>(size);
+    ends.push_back(pos);
+  }
+  return ends;
+}
+
+/// One framed record (or, without the CRC, one STATE section).
+std::string frame(std::uint32_t id, std::string_view payload,
+                  bool with_crc = true) {
+  std::string out;
+  binio::put_u32(out, id);
+  binio::put_u64(out, payload.size());
+  out.append(payload);
+  if (with_crc) binio::put_u32(out, crc32_ieee(binio::as_bytes(out)));
+  return out;
+}
+
+/// The records of a journal as (kind, payload) pairs, and back.
+std::vector<std::pair<std::uint32_t, std::string>> split_frames(
+    std::string_view bytes, bool with_crc) {
+  std::vector<std::pair<std::uint32_t, std::string>> out;
+  const std::size_t trailer = with_crc ? 4 : 0;
+  std::size_t pos = 0;
+  while (pos < bytes.size()) {
+    std::uint32_t id = 0;
+    std::uint64_t size = 0;
+    for (std::size_t i = 0; i < 4; ++i) {
+      id |= std::uint32_t{static_cast<std::uint8_t>(bytes[pos + i])} << (8 * i);
+    }
+    for (std::size_t i = 0; i < 8; ++i) {
+      size |= std::uint64_t{static_cast<std::uint8_t>(bytes[pos + 4 + i])}
+              << (8 * i);
+    }
+    out.emplace_back(id, std::string(bytes.substr(pos + 12, size)));
+    pos += 12 + static_cast<std::size_t>(size) + trailer;
+  }
+  return out;
+}
+
+/// The first appended window whose resume still has half the capture to
+/// replay.
+std::size_t mid_capture_append(const ReferenceRun& run) {
+  const std::size_t half = fixture().eval_packets.size() / 2;
+  for (std::size_t k = 1; k < run.checkpoints.size(); ++k) {
+    const auto& ck = run.checkpoints[k];
+    if (ck.append_start != 0 && ck.fed >= half) return k;
+  }
+  ADD_FAILURE() << "no appended window in the middle of the capture";
+  return run.checkpoints.size() - 1;
+}
+
+/// A mid-run compacted image with real content in every record (taken
+/// after a retrain swap).
 const std::string& reference_image() {
-  static const std::string* image = [] {
-    const auto& fx = fixture();
-    const auto run = run_checkpointed(fx.models, fx.eval_packets,
-                                      watch_options(), 1024);
-    EXPECT_GE(run.checkpoints.size(), 6u);
-    return new std::string(
-        run.checkpoints[run.checkpoints.size() / 2].bytes);
-  }();
-  return *image;
+  const auto& run = reference_run();
+  EXPECT_GE(run.checkpoints.size(), 6u);
+  return run.checkpoints[run.checkpoints.size() / 2].image;
+}
+
+std::string join_records(
+    const std::vector<std::pair<std::uint32_t, std::string>>& records) {
+  std::string out = reference_image().substr(0, kCkptHeaderSize);
+  for (const auto& [kind, payload] : records) out += frame(kind, payload);
+  return out;
+}
+
+std::vector<std::pair<std::uint32_t, std::string>> reference_records() {
+  return split_frames(
+      std::string_view(reference_image()).substr(kCkptHeaderSize), true);
 }
 
 // ---------------------------------------------------------------------------
-// The tentpole invariant: kill at any checkpoint instant, resume, and the
-// alert stream continues byte-identically — at 1 and 8 threads, under two
+// The tentpole invariant: kill anywhere in a checkpoint append, resume, and
+// the alert stream continues identically — at 1 and 8 threads, under two
 // unrelated chunkings, across every kill point.
 
+TEST(CheckpointKillMatrix, JournalReplaysToTheFullExportAtEveryWindow) {
+  const auto& run = reference_run();
+  ASSERT_GE(run.checkpoints.size(), 8u);
+  std::size_t appends = 0;
+  for (std::size_t k = 0; k < run.checkpoints.size(); ++k) {
+    const auto& ck = run.checkpoints[k];
+    SCOPED_TRACE(::testing::Message() << "window " << k);
+    JournalExtent extent;
+    EXPECT_EQ(replayed(ck.journal, ParsePolicy::kStrict, &extent), ck.image);
+    EXPECT_EQ(extent.committed_bytes, ck.journal.size());
+    if (ck.append_start == 0) continue;
+    ++appends;
+    // An append never rewrites what the previous checkpoint left.
+    ASSERT_GT(k, 0u);
+    EXPECT_EQ(ck.journal.substr(0, ck.append_start),
+              run.checkpoints[k - 1].journal);
+  }
+  // The cadence is mostly appends; compactions follow retrains and growth.
+  EXPECT_GT(appends, 0u);
+  EXPECT_GT(run.compactions, 1u);
+}
+
+TEST(CheckpointKillMatrix, EveryRecordBoundaryReplaysToACommittedWindow) {
+  // A kill between two records of one window's append leaves that window's
+  // MODELS/FLOWS records without their STATE: the journal still replays to
+  // the previous window, exactly.
+  const auto& run = reference_run();
+  std::size_t boundaries = 0;
+  for (std::size_t k = 1; k < run.checkpoints.size(); ++k) {
+    const auto& ck = run.checkpoints[k];
+    if (ck.append_start == 0) continue;
+    for (const std::size_t end : record_ends(ck.journal)) {
+      if (end <= ck.append_start) continue;
+      const std::string prefix = ck.journal.substr(0, end);
+      const std::string& want = end == ck.journal.size()
+                                    ? ck.image
+                                    : run.checkpoints[k - 1].image;
+      EXPECT_EQ(replayed(prefix), want) << "window " << k << " cut " << end;
+      ++boundaries;
+    }
+  }
+  EXPECT_GT(boundaries, run.checkpoints.size() / 2);
+}
+
+TEST(CheckpointKillMatrix, EveryTornAppendOffsetReplaysToThePreviousWindow) {
+  // kill -9 mid-write(2): every byte offset inside the last appended
+  // window's records, in both policies, replays to the previous window and
+  // reports where its committed journal ends.
+  const auto& run = reference_run();
+  std::size_t k = run.checkpoints.size() - 1;
+  while (k > 0 && run.checkpoints[k].append_start == 0) --k;
+  ASSERT_GT(k, 0u);
+  const auto& ck = run.checkpoints[k];
+  const std::string& previous = run.checkpoints[k - 1].image;
+  for (std::size_t cut = ck.append_start + 1; cut < ck.journal.size();
+       ++cut) {
+    const std::string_view prefix = std::string_view(ck.journal).substr(0, cut);
+    for (const auto policy : {ParsePolicy::kStrict, ParsePolicy::kLenient}) {
+      JournalExtent extent;
+      ASSERT_EQ(replayed(prefix, policy, &extent), previous) << "cut " << cut;
+      ASSERT_EQ(extent.committed_bytes, ck.append_start) << "cut " << cut;
+    }
+  }
+}
+
 TEST(CheckpointKillMatrix, ResumeMatchesUninterruptedRunAtEveryKillPoint) {
+  // Every committed window (each one a journal prefix a kill can leave, by
+  // the two tests above) resumes into the uninterrupted run's remaining
+  // alerts.
   const auto& fx = fixture();
   const std::size_t before = runtime::global_threads();
+  const std::string path = temp_path("kill_point.bbc");
   for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
     runtime::set_global_threads(threads);
     for (const std::size_t chunk : {std::size_t{311}, std::size_t{1024}}) {
-      const auto base =
-          run_checkpointed(fx.models, fx.eval_packets, watch_options(), chunk);
+      const auto base = run_checkpointed(fx.models, fx.eval_packets,
+                                         watch_options(), chunk,
+                                         temp_path("matrix_base.bbc"));
       ASSERT_GE(base.checkpoints.size(), 8u);
       ASSERT_FALSE(base.alerts.empty());
       for (std::size_t k = 0; k < base.checkpoints.size(); ++k) {
-        const auto resumed =
-            resume_and_finish(base.checkpoints[k].bytes, fx.eval_packets,
-                              chunk);
+        write_file(path, base.checkpoints[k].journal);
+        const auto resumed = resume_and_finish(path, fx.eval_packets, chunk);
         ASSERT_LE(resumed.alerts_before, base.alerts.size())
             << "kill point " << k;
         SCOPED_TRACE(::testing::Message()
@@ -238,19 +445,121 @@ TEST(CheckpointKillMatrix, ResumeMatchesUninterruptedRunAtEveryKillPoint) {
   runtime::set_global_threads(before);
 }
 
+TEST(CheckpointKillMatrix, ResumeTruncatesATornTailAndKeepsAppending) {
+  // `watch --resume F --checkpoint F` after a torn append: the resumed run
+  // drops the tail, appends after the last committed STATE, and ends with a
+  // journal that replays to the uninterrupted run's final checkpoint — at 1
+  // and 8 threads. Both runs feed 1024-packet chunks from offsets that are
+  // multiples of 1024, so even the checkpointed input offsets agree.
+  const auto& fx = fixture();
+  const auto& run = reference_run();
+  const auto& torn = run.checkpoints[mid_capture_append(run)];
+  const std::size_t cut =
+      torn.append_start + (torn.journal.size() - torn.append_start) / 2;
+  const std::size_t before = runtime::global_threads();
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
+    runtime::set_global_threads(threads);
+    const std::string path = temp_path("torn.bbc");
+    write_file(path, std::string_view(torn.journal).substr(0, cut));
+    const auto resumed = resume_and_finish(path, fx.eval_packets, 1024,
+                                           /*continue_journal=*/true);
+    expect_same_alerts(resumed.alerts,
+                       std::span<const DeviationAlert>(run.alerts)
+                           .subspan(resumed.alerts_before));
+    JournalExtent extent;
+    EXPECT_EQ(replayed(resumed.journal, ParsePolicy::kStrict, &extent),
+              run.checkpoints.back().image);
+    EXPECT_EQ(extent.committed_bytes, resumed.journal.size());
+    // Resuming the continued journal at its end emits nothing new.
+    EXPECT_TRUE(resume_and_finish(path, fx.eval_packets, 1024).alerts.empty());
+  }
+  runtime::set_global_threads(before);
+}
+
+TEST(CheckpointKillMatrix, CrashBeforeTheCompactionRenameResumesTheOldJournal) {
+  // A kill between the compaction's temp write and its rename leaves the old
+  // journal in place plus a stray temp file: the resume reads the old
+  // journal, and the next compaction replaces the stray file's role.
+  const auto& run = reference_run();
+  std::size_t k = 1;
+  while (k < run.checkpoints.size() && run.checkpoints[k].append_start != 0) {
+    ++k;
+  }
+  ASSERT_LT(k, run.checkpoints.size()) << "no compaction after window 0";
+  const std::string path = temp_path("compact_crash.bbc");
+  write_file(path, run.checkpoints[k - 1].journal);
+  write_file(path + ".tmp." + std::to_string(::getpid()),
+             run.checkpoints[k].journal);
+  JournalExtent extent;
+  const WatchCheckpoint cp = load_checkpoint_file(path, &extent);
+  EXPECT_EQ(save_checkpoint(cp), run.checkpoints[k - 1].image);
+  EXPECT_EQ(extent.committed_bytes, run.checkpoints[k - 1].journal.size());
+  const auto resumed = resume_and_finish(path, fixture().eval_packets, 1024,
+                                         /*continue_journal=*/true);
+  expect_same_alerts(resumed.alerts,
+                     std::span<const DeviationAlert>(run.alerts)
+                         .subspan(resumed.alerts_before));
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp." +
+                                       std::to_string(::getpid())));
+}
+
 TEST(CheckpointKillMatrix, ResumeChunkingIsIrrelevant) {
   // The resumed process need not replay with the chunking the dead one
   // used: boundaries carry no meaning, so a 1024-chunk run resumed with
-  // 311-packet chunks (and vice versa) still continues byte-identically.
-  const auto& fx = fixture();
-  const auto base =
-      run_checkpointed(fx.models, fx.eval_packets, watch_options(), 1024);
-  ASSERT_GE(base.checkpoints.size(), 4u);
-  const auto& mid = base.checkpoints[base.checkpoints.size() / 2];
-  const auto resumed = resume_and_finish(mid.bytes, fx.eval_packets, 311);
+  // 311-packet chunks still continues identically.
+  const auto& run = reference_run();
+  const std::string path = temp_path("chunking.bbc");
+  write_file(path, run.checkpoints[mid_capture_append(run)].journal);
+  const auto resumed = resume_and_finish(path, fixture().eval_packets, 311);
   expect_same_alerts(resumed.alerts,
-                     std::span<const DeviationAlert>(base.alerts)
+                     std::span<const DeviationAlert>(run.alerts)
                          .subspan(resumed.alerts_before));
+}
+
+TEST(CheckpointJournal, StaysBoundedWithoutRetrain) {
+  // 144 windows, no retrain: nothing ever hands the buffer off, so only the
+  // growth rule compacts. The journal never exceeds twice its compacted size
+  // plus one window's records, and its running size matches the file.
+  const auto& fx = fixture();
+  WatchOptions opts;
+  opts.window_us = 150 * 1'000'000LL;  // 0.25 days / 150 s = 144 windows
+  const std::string path = temp_path("bounded.bbc");
+  std::filesystem::remove(path);
+  ModelHandle handle(fx.models);
+  WatchEngine engine(handle, DomainResolver{}, opts);
+  CheckpointJournal journal(path);
+  std::vector<DeviationAlert> alerts;
+  std::size_t windows = 0;
+  engine.set_window_sink([&](const WatchWindowReport& r) {
+    ++windows;
+    alerts.insert(alerts.end(), r.alerts.begin(), r.alerts.end());
+    std::string error;
+    ASSERT_TRUE(journal.commit(sink_checkpoint(opts, windows, alerts), engine,
+                               handle, &error))
+        << error;
+    ASSERT_EQ(journal.journal_bytes(), std::filesystem::file_size(path));
+    if (!journal.last_commit_compacted()) {
+      EXPECT_LE(journal.journal_bytes(),
+                2 * journal.compacted_bytes() + journal.last_commit_bytes())
+          << "window " << r.index;
+    }
+  });
+  engine.ingest(fx.eval_packets);
+  engine.finish();
+  ASSERT_GE(windows, 144u);
+  EXPECT_GT(journal.compactions(), 1u);
+  EXPECT_EQ(load_checkpoint_file(path).engine.windows,
+            engine.windows_evaluated());
+}
+
+TEST(CheckpointJournal, ResumeRefusesAJournalThatShrankSinceItsLoad) {
+  const std::string path = temp_path("shrunk.bbc");
+  const std::string& journal = reference_run().checkpoints.back().journal;
+  write_file(path, journal);
+  JournalExtent extent;
+  (void)load_checkpoint_file(path, &extent);
+  write_file(path, std::string_view(journal).substr(0, journal.size() / 2));
+  EXPECT_THROW(CheckpointJournal(path, extent), SerializationError);
 }
 
 // ---------------------------------------------------------------------------
@@ -271,27 +580,29 @@ TEST(CheckpointFormat, SaveLoadSaveIsByteIdentical) {
   const BehaviorModelSet models =
       load_models_binary(binio::as_bytes(cp.models_image));
   EXPECT_GT(models.periodic.size(), 0u);
+  // A compacted image is exactly one MODELS, one FLOWS and one STATE record.
+  const auto records = reference_records();
+  ASSERT_EQ(records.size(), 3u);
+  EXPECT_EQ(records[0].first, kCkptRecordModels);
+  EXPECT_EQ(records[1].first, kCkptRecordFlows);
+  EXPECT_EQ(records[2].first, kCkptRecordState);
 }
 
-TEST(CheckpointFormat, TruncationAtEveryBoundaryThrowsInBothPolicies) {
+TEST(CheckpointFormat, EveryPrefixOfACompactedImageThrowsInBothPolicies) {
+  // A compacted image lands by rename, never by append, so any prefix of it
+  // is structural damage: no policy may salvage it, and none may crash or
+  // allocate unboundedly on it.
   const std::string& image = reference_image();
-  const auto layout = binio::parse_layout(binio::as_bytes(image), kBbcFormat);
-  std::vector<std::size_t> cuts = {0, 1, binio::kHeaderSize - 1,
-                                   binio::kHeaderSize};
-  for (const auto& s : layout.sections) {
-    cuts.push_back(s.offset - 1);
-    cuts.push_back(s.offset);
-    cuts.push_back(s.offset + s.size / 2);
-    cuts.push_back(s.offset + s.size - 1);
-    cuts.push_back(s.offset + s.size);
+  std::vector<std::size_t> cuts = {0, 1, 3, 5, kCkptHeaderSize - 1,
+                                   kCkptHeaderSize, kCkptHeaderSize + 5};
+  for (const std::size_t end : record_ends(image)) {
+    cuts.push_back(end - 1);
+    cuts.push_back(end);
+    cuts.push_back(end + 7);
   }
-  cuts.push_back(layout.payload_end);
-  cuts.push_back(image.size() - 1);
   for (const std::size_t cut : cuts) {
-    ASSERT_LT(cut, image.size());
+    if (cut >= image.size()) continue;
     const auto prefix = binio::as_bytes(image).first(cut);
-    // A truncated image is structural damage — no policy may salvage it,
-    // and none may crash or allocate unboundedly on it.
     EXPECT_THROW((void)load_checkpoint(prefix, ParsePolicy::kStrict),
                  SerializationError)
         << "cut at " << cut;
@@ -313,42 +624,58 @@ TEST(CheckpointFormat, BitFlipsNeverPassTheStrictLoad) {
   }
 }
 
-/// Slices the reference image back into (id, payload) pairs so individual
-/// sections can be dropped, damaged, or augmented and the image rebuilt
-/// with a consistent table and CRC.
-std::vector<std::pair<std::uint32_t, std::string>> reference_sections() {
-  const std::string& image = reference_image();
-  const auto layout = binio::parse_layout(binio::as_bytes(image), kBbcFormat);
-  std::vector<std::pair<std::uint32_t, std::string>> sections;
-  for (const auto& s : layout.sections) {
-    sections.emplace_back(s.id, image.substr(s.offset, s.size));
+TEST(CheckpointFormat, LenientLoadStopsAtADamagedRecord) {
+  // A CRC-damaged record after a committed window: strict refuses the
+  // journal, lenient keeps the last STATE before the damage.
+  const auto& run = reference_run();
+  std::size_t k = 1;
+  while (k < run.checkpoints.size() && run.checkpoints[k].append_start == 0) {
+    ++k;
   }
-  return sections;
+  ASSERT_LT(k, run.checkpoints.size());
+  std::string damaged = run.checkpoints[k].journal;
+  damaged[damaged.size() - 1] ^= 0x01;  // the last record's CRC
+  EXPECT_THROW(
+      (void)load_checkpoint(binio::as_bytes(damaged), ParsePolicy::kStrict),
+      SerializationError);
+  ParseStats stats;
+  const WatchCheckpoint cp = load_checkpoint(binio::as_bytes(damaged),
+                                             ParsePolicy::kLenient, &stats);
+  EXPECT_EQ(stats.malformed, 1u);
+  EXPECT_EQ(save_checkpoint(cp), run.checkpoints[k - 1].image);
 }
 
-TEST(CheckpointFormat, UnknownSectionsAreSkippedForForwardCompat) {
-  auto sections = reference_sections();
-  sections.emplace_back(99u, std::string("payload from a future version"));
-  const std::string extended = binio::build_image(kBbcFormat, sections);
-  const WatchCheckpoint cp = load_checkpoint(binio::as_bytes(extended));
+TEST(CheckpointFormat, UnknownRecordsAndSectionsAreSkippedForForwardCompat) {
+  auto records = reference_records();
+  auto sections = split_frames(records[2].second, false);
+  sections.emplace_back(99u, "section from a future version");
+  std::string state;
+  for (const auto& [id, payload] : sections) state += frame(id, payload, false);
+  records[2].second = state;
+  records.insert(records.begin() + 1, {77u, "record from a future version"});
+  const WatchCheckpoint cp =
+      load_checkpoint(binio::as_bytes(join_records(records)));
   // Everything the loader understands round-trips untouched.
   EXPECT_EQ(save_checkpoint(cp), reference_image());
 }
 
-TEST(CheckpointFormat, MissingRequiredSectionThrowsByName) {
+TEST(CheckpointFormat, MissingRequiredStateSectionThrowsByName) {
   for (const std::uint32_t drop :
        {kCkptSectionEngine, kCkptSectionAssembler, kCkptSectionMonitor,
-        kCkptSectionResolver, kCkptSectionModels, kCkptSectionFrontend,
-        kCkptSectionRetrain}) {
-    auto sections = reference_sections();
-    std::erase_if(sections, [&](const auto& s) { return s.first == drop; });
-    const std::string gutted = binio::build_image(kBbcFormat, sections);
+        kCkptSectionResolver, kCkptSectionFrontend}) {
+    auto records = reference_records();
+    std::string state;
+    for (const auto& [id, payload] : split_frames(records[2].second, false)) {
+      if (id != drop) state += frame(id, payload, false);
+    }
+    records[2].second = state;
+    const std::string gutted = join_records(records);
     for (const auto policy : {ParsePolicy::kStrict, ParsePolicy::kLenient}) {
       try {
         (void)load_checkpoint(binio::as_bytes(gutted), policy);
         FAIL() << "section " << drop << " missing but load succeeded";
       } catch (const SerializationError& e) {
-        EXPECT_NE(std::string(e.what()).find("missing required section"),
+        EXPECT_NE(std::string(e.what()).find("missing required STATE section"),
                   std::string::npos)
             << e.what();
       }
@@ -356,21 +683,32 @@ TEST(CheckpointFormat, MissingRequiredSectionThrowsByName) {
   }
 }
 
+TEST(CheckpointFormat, StateWithoutModelsThrows) {
+  auto records = reference_records();
+  records.erase(records.begin());  // drop MODELS
+  EXPECT_THROW(
+      (void)load_checkpoint(binio::as_bytes(join_records(records))),
+      SerializationError);
+}
+
 TEST(CheckpointFormat, DamagedHealthSectionIsDroppedOnlyLeniently) {
   // Chop bytes off the (optional) health payload and rebuild, so the CRC is
   // valid and only that one section is internally broken: a resume cannot
   // be blocked by damaged telemetry, but strict parsing must still object.
-  auto sections = reference_sections();
+  auto records = reference_records();
+  std::string state;
   bool found = false;
-  for (auto& [id, payload] : sections) {
+  for (auto [id, payload] : split_frames(records[2].second, false)) {
     if (id == kCkptSectionHealth) {
-      ASSERT_GE(payload.size(), 4u);
+      EXPECT_GE(payload.size(), 4u);
       payload.resize(payload.size() - 3);
       found = true;
     }
+    state += frame(id, payload, false);
   }
   ASSERT_TRUE(found);
-  const std::string damaged = binio::build_image(kBbcFormat, sections);
+  records[2].second = state;
+  const std::string damaged = join_records(records);
   EXPECT_THROW(
       (void)load_checkpoint(binio::as_bytes(damaged), ParsePolicy::kStrict),
       SerializationError);
@@ -382,69 +720,33 @@ TEST(CheckpointFormat, DamagedHealthSectionIsDroppedOnlyLeniently) {
   EXPECT_GT(cp.engine.windows, 0u);  // the rest loaded intact
 }
 
-// ---------------------------------------------------------------------------
-// Rotation and the resilient read side.
-
-TEST(CheckpointRotation, KeepsOneIntactGenerationThroughDamage) {
-  const auto dir = std::filesystem::path(::testing::TempDir()) /
-                   "behaviot_checkpoint_rotation";
-  std::filesystem::create_directories(dir);
-  const std::string path = (dir / "state.bbc").string();
-  std::filesystem::remove(path);
-  std::filesystem::remove(path + ".prev");
-
-  const std::string& image = reference_image();
-  WatchCheckpoint first = load_checkpoint(binio::as_bytes(image));
-  WatchCheckpoint second = load_checkpoint(binio::as_bytes(image));
-  second.input_offset = first.input_offset + 12345;
-
-  std::string error;
-  ASSERT_TRUE(write_checkpoint_rotating(path, first, &error)) << error;
-  EXPECT_TRUE(std::filesystem::exists(path));
-  EXPECT_FALSE(std::filesystem::exists(path + ".prev"));
-  ASSERT_TRUE(write_checkpoint_rotating(path, second, &error)) << error;
-  EXPECT_TRUE(std::filesystem::exists(path + ".prev"));
-
-  // Healthy: the newest generation wins.
-  std::string source;
-  WatchCheckpoint loaded = load_checkpoint_resilient(path, &source);
-  EXPECT_EQ(source, path);
-  EXPECT_EQ(loaded.input_offset, second.input_offset);
-
-  // FILE torn mid-write (truncated): fall back to FILE.prev.
-  {
-    std::ofstream torn(path, std::ios::binary | std::ios::trunc);
-    torn.write(image.data(), 100);
+TEST(CheckpointFormat, VersionOneCheckpointIsRefusedByVersion) {
+  // Format 1 stored one whole section-tabled image per checkpoint. It shares
+  // the magic, so the refusal names the version instead of "bad magic".
+  const binio::ImageFormat v1{kCheckpointMagic, 1, "bbc", "watch checkpoint"};
+  const std::pair<std::uint32_t, std::string> sections[] = {
+      {1u, std::string(16, '\0')}};
+  const std::string old = binio::build_image(v1, sections);
+  try {
+    (void)load_checkpoint(binio::as_bytes(old));
+    FAIL() << "a version-1 checkpoint loaded";
+  } catch (const SerializationError& e) {
+    EXPECT_NE(std::string(e.what()).find("format version 1"),
+              std::string::npos)
+        << e.what();
+    EXPECT_EQ(e.offset(), 4u);
   }
-  loaded = load_checkpoint_resilient(path, &source);
-  EXPECT_EQ(source, path + ".prev");
-  EXPECT_EQ(loaded.input_offset, first.input_offset);
-
-  // FILE gone entirely (killed between rename and write): same fallback.
-  std::filesystem::remove(path);
-  loaded = load_checkpoint_resilient(path, &source);
-  EXPECT_EQ(source, path + ".prev");
-  EXPECT_EQ(loaded.input_offset, first.input_offset);
-
-  // Neither generation usable: the primary failure is reported.
-  std::filesystem::remove(path + ".prev");
-  EXPECT_THROW((void)load_checkpoint_resilient(path), SerializationError);
-  std::filesystem::remove_all(dir);
 }
 
 // ---------------------------------------------------------------------------
-// Cross-version compatibility: a checkpoint written by the version that
-// introduced the format must keep loading (the CI compat job runs this
-// standalone against the checked-in golden file).
+// Cross-version compatibility: the checked-in compacted image must keep
+// loading (the CI compat job resumes from it standalone).
 
 TEST(CheckpointGolden, CheckedInCheckpointStillLoads) {
   const std::string path =
       std::string(BEHAVIOT_TEST_DATA_DIR) + "/golden_checkpoint.bbc";
-  std::ifstream in(path, std::ios::binary);
-  ASSERT_TRUE(in.good()) << "missing golden checkpoint: " << path;
-  const std::string image((std::istreambuf_iterator<char>(in)),
-                          std::istreambuf_iterator<char>());
-  ASSERT_FALSE(image.empty());
+  const std::string image = read_file(path);
+  ASSERT_FALSE(image.empty()) << "missing golden checkpoint: " << path;
   const WatchCheckpoint cp = load_checkpoint(binio::as_bytes(image));
   EXPECT_GT(cp.engine.windows, 0u);
   EXPECT_GT(cp.input_offset, 0u);

@@ -23,6 +23,7 @@
 #include <utility>
 #include <vector>
 
+#include "behaviot/analysis/alert_report.hpp"
 #include "behaviot/core/binary_io.hpp"
 #include "behaviot/core/checkpoint.hpp"
 #include "behaviot/obs/json.hpp"
@@ -620,7 +621,8 @@ TEST_F(CliTest, WatchServesHttpTelemetryWhileFollowing) {
   // we probe them; --http 0 binds an ephemeral port printed to stderr.
   const pid_t pid = spawn_cli(
       {"watch", "--models", models, "--capture", capture, "--window-s",
-       "600", "--follow", "1", "--http", "0"},
+       "600", "--follow", "1", "--http", "0", "--checkpoint",
+       *dir_ + "/http_state.bbc"},
       log);
   ASSERT_GT(pid, 0);
 
@@ -645,10 +647,29 @@ TEST_F(CliTest, WatchServesHttpTelemetryWhileFollowing) {
   const auto statusz = http_get(port, "/statusz");
   EXPECT_EQ(statusz.first, 200);
   EXPECT_NO_THROW((void)behaviot::obs::json::parse(statusz.second));
-
+  // Once a window has closed, /statusz reports the checkpoint journal: the
+  // last window's append and the journal's running size.
+  std::string status_text;
+  for (int tries = 0; tries < 200; ++tries) {
+    status_text = http_get(port, "/statusz").second;
+    if (status_text.find("\"journal_bytes\"") != std::string::npos) break;
+    ::usleep(50000);
+  }
   ::kill(pid, SIGKILL);
   int status = 0;
   ::waitpid(pid, &status, 0);
+
+  const auto status_doc = behaviot::obs::json::parse(status_text);
+  const auto* watch = status_doc.find("watch");
+  ASSERT_NE(watch, nullptr) << status_text;
+  const auto* ck = watch->find("checkpoint");
+  ASSERT_TRUE(ck != nullptr && ck->is_object()) << status_text;
+  EXPECT_GT(ck->at("appended_bytes").as_number(), 0.0);
+  EXPECT_GE(ck->at("journal_bytes").as_number(),
+            ck->at("appended_bytes").as_number());
+  for (const char* key : {"window", "write_ms", "age_s"}) {
+    EXPECT_NE(ck->find(key), nullptr) << key;
+  }
 }
 
 // ---- Crash safety: checkpoint/resume, graceful shutdown, self-healing ----
@@ -781,6 +802,139 @@ TEST_F(CliTest, SigkillAtACheckpointPlusResumeYieldsByteIdenticalAlerts) {
   EXPECT_NE(result.output.find("resume: restored"), std::string::npos)
       << result.output;
   EXPECT_EQ(read_file(crash_alerts), expected);
+}
+
+/// Offsets where each complete STATE record of a `.bbc` journal ends.
+std::vector<std::size_t> state_record_ends(const std::string& journal) {
+  std::vector<std::size_t> ends;
+  std::size_t pos = behaviot::kCkptHeaderSize;
+  while (journal.size() - pos >= behaviot::kCkptRecordOverhead) {
+    std::uint32_t kind = 0;
+    std::uint64_t size = 0;
+    std::memcpy(&kind, journal.data() + pos, 4);
+    std::memcpy(&size, journal.data() + pos + 4, 8);
+    if (size > journal.size() - pos - behaviot::kCkptRecordOverhead) break;
+    pos += behaviot::kCkptRecordOverhead + static_cast<std::size_t>(size);
+    if (kind == behaviot::kCkptRecordState) ends.push_back(pos);
+  }
+  return ends;
+}
+
+TEST_F(CliTest, SigkillMidAppendPlusResumeTruncatesTheTornTail) {
+  std::string models, capture;
+  make_watch_inputs(*dir_, &models, &capture);
+  const std::string base_alerts = *dir_ + "/torn_base_alerts.json";
+  const std::string torn_alerts = *dir_ + "/torn_live_alerts.json";
+  const std::string ckpt = *dir_ + "/torn_state.bbc";
+  const std::string args = "watch --models " + models + " --capture " +
+                           capture + " --window-s 600 --retrain-every 8";
+  auto result = run(args + " --alerts " + base_alerts + " --checkpoint " +
+                    ckpt + ".base");
+  ASSERT_EQ(result.exit_code, 0) << result.output;
+  const std::string expected = read_file(base_alerts);
+
+  // SIGKILL right after a window's append lands, then tear that append in
+  // half: the file a kill in the middle of its write(2) leaves. (An append,
+  // not a compaction: a compaction lands whole, by rename.)
+  std::string journal;
+  std::vector<std::size_t> states;
+  for (int crashn = 20; crashn < 30 && states.size() < 2; ++crashn) {
+    std::filesystem::remove(ckpt);
+    result = run(args + " --alerts " + torn_alerts + " --checkpoint " + ckpt +
+                 " --chaos crash=checkpoint.after_write,crashn=" +
+                 std::to_string(crashn));
+    ASSERT_EQ(result.exit_code, 137) << result.output;
+    journal = read_file(ckpt);
+    states = state_record_ends(journal);
+  }
+  ASSERT_GE(states.size(), 2u) << "no appended window among the kill points";
+  const std::size_t committed = states[states.size() - 2];
+  const std::size_t cut = committed + (journal.size() - committed) / 2;
+  std::filesystem::resize_file(ckpt, cut);
+
+  // Resuming onto the same journal drops the torn bytes, appends after the
+  // last committed STATE and converges on the baseline alert stream.
+  result = run("watch --resume " + ckpt + " --checkpoint " + ckpt +
+               " --capture " + capture + " --alerts " + torn_alerts);
+  ASSERT_EQ(result.exit_code, 0) << result.output;
+  EXPECT_NE(result.output.find("; " + std::to_string(cut - committed) +
+                               " uncommitted tail bytes ignored"),
+            std::string::npos)
+      << result.output;
+  EXPECT_EQ(read_file(torn_alerts), expected);
+  const behaviot::WatchCheckpoint final_cp =
+      behaviot::load_checkpoint_file(ckpt);
+  const behaviot::WatchCheckpoint base_cp =
+      behaviot::load_checkpoint_file(ckpt + ".base");
+  EXPECT_EQ(final_cp.engine.windows, base_cp.engine.windows);
+  EXPECT_EQ(final_cp.input_offset, base_cp.input_offset);
+}
+
+TEST_F(CliTest, SigkillBeforeTheCompactionRenameResumesTheOldJournal) {
+  std::string models, capture;
+  make_watch_inputs(*dir_, &models, &capture);
+  const std::string base_alerts = *dir_ + "/compact_base_alerts.json";
+  const std::string resumed_alerts = *dir_ + "/compact_resumed_alerts.json";
+  const std::string ckpt = *dir_ + "/compact_state.bbc";
+  const std::string args = "watch --models " + models + " --capture " +
+                           capture + " --window-s 600 --retrain-every 8";
+  auto result = run(args + " --alerts " + base_alerts);
+  ASSERT_EQ(result.exit_code, 0) << result.output;
+
+  // Only compactions write files atomically in this run (no --alerts or
+  // --metrics), so the 2nd hit is the first compaction over an existing
+  // journal: killed after its temp file is written, before the rename.
+  std::filesystem::remove(ckpt);
+  result = run(args + " --checkpoint " + ckpt +
+               " --chaos crash=atomic_write.before_rename,crashn=2");
+  ASSERT_EQ(result.exit_code, 137) << result.output;
+  bool temp_left = false;
+  for (const auto& entry : std::filesystem::directory_iterator(*dir_)) {
+    temp_left |= entry.path().filename().string().rfind(
+                     "compact_state.bbc.tmp.", 0) == 0;
+  }
+  EXPECT_TRUE(temp_left) << "the kill did not land between write and rename";
+
+  result = run("watch --resume " + ckpt + " --capture " + capture +
+               " --alerts " + resumed_alerts);
+  ASSERT_EQ(result.exit_code, 0) << result.output;
+  // The crashed run kept no alerts document, so the resumed one reports the
+  // alerts after the resume point: the tail of the baseline's.
+  const auto all = behaviot::alerts_from_json(read_file(base_alerts));
+  const auto tail = behaviot::alerts_from_json(read_file(resumed_alerts));
+  ASSERT_FALSE(tail.empty());
+  ASSERT_LE(tail.size(), all.size());
+  EXPECT_EQ(behaviot::alerts_to_json(tail),
+            behaviot::alerts_to_json(std::vector<behaviot::DeviationAlert>(
+                all.end() - static_cast<std::ptrdiff_t>(tail.size()),
+                all.end())));
+}
+
+TEST_F(CliTest, WatchMetricsCarryTheDaemonsSinkAndCheckpointSpans) {
+  std::string models, capture;
+  make_watch_inputs(*dir_, &models, &capture);
+  const std::string metrics = *dir_ + "/span_metrics.json";
+  const auto result =
+      run("watch --models " + models + " --capture " + capture +
+          " --window-s 600 --alerts " + *dir_ + "/span_alerts.json" +
+          " --checkpoint " + *dir_ + "/span_state.bbc --metrics " + metrics);
+  ASSERT_EQ(result.exit_code, 0) << result.output;
+  const auto doc = behaviot::obs::json::parse(read_file(metrics));
+  const auto& spans = doc.at("spans");
+  for (const char* stage : {"sink.render", "sink.write", "checkpoint.export",
+                            "checkpoint.serialize", "checkpoint.write"}) {
+    // Opened inside the window sink, so each nests under watch.window.
+    bool found = false;
+    for (const auto& [path, value] : spans.as_object()) {
+      const std::string suffix = std::string("watch.window/") + stage;
+      if (path.size() >= suffix.size() &&
+          path.compare(path.size() - suffix.size(), suffix.size(), suffix) ==
+              0) {
+        found = value.at("calls").as_number() > 0;
+      }
+    }
+    EXPECT_TRUE(found) << stage << " missing from " << read_file(metrics);
+  }
 }
 
 TEST_F(CliTest, RetrainTimeoutKeepsThePriorGenerationScoring) {

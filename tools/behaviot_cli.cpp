@@ -89,7 +89,6 @@
 #include "behaviot/core/watch_engine.hpp"
 #include "behaviot/deviation/monitor.hpp"
 #include "behaviot/net/pcap.hpp"
-#include "behaviot/obs/crash_point.hpp"
 #include "behaviot/obs/export.hpp"
 #include "behaviot/obs/health.hpp"
 #include "behaviot/obs/metrics.hpp"
@@ -159,14 +158,13 @@ int usage() {
                "      --metrics/--trace snapshot as FILE.<window> once it"
                " exceeds N\n"
                "      bytes, keeping the newest K archives (default 3)]\n"
-               "      [--checkpoint FILE.bbc [--checkpoint-every N]   write"
+               "      [--checkpoint FILE.bbc [--checkpoint-every N]   append"
                " a durable\n"
                "      checkpoint (engine state + pinned models + capture"
-               " cursor) after\n"
-               "      every N closed windows (default 1), rotating FILE ->"
-               " FILE.prev so\n"
-               "      a kill -9 mid-write always leaves one intact"
-               " generation]\n"
+               " cursor) to the\n"
+               "      FILE journal after every N closed windows (default 1);"
+               " a kill -9\n"
+               "      mid-append leaves a torn tail that resume ignores]\n"
                "      [--resume FILE.bbc   restore a checkpointed run and"
                " continue it:\n"
                "      the capture replays from the checkpointed byte offset"
@@ -174,7 +172,9 @@ int usage() {
                "      alert stream continues byte-identically to the"
                " uninterrupted run\n"
                "      (--models becomes optional; the checkpoint embeds the"
-               " models)]\n"
+               " models).\n"
+               "      With --checkpoint naming the same FILE, the journal"
+               " continues]\n"
                "      [--retrain-timeout-s S   abandon a background retrain"
                " still\n"
                "      running S seconds after launch — prior models keep"
@@ -213,7 +213,7 @@ int usage() {
                " ppm), seed,\n"
                "      crash=POINT + crashn=K (SIGKILL the process at the"
                " K-th hit of a\n"
-               "      named crash point, e.g. checkpoint.after_rotate — for"
+               "      named crash point, e.g. checkpoint.after_write — for"
                " crash-\n"
                "      recovery testing with watch --resume).\n"
                "      Example: --chaos drop=0.01,reorder=0.005,seed=42."
@@ -401,8 +401,14 @@ std::string render_metrics(const std::string& path,
 void write_metrics_snapshot(obs::SnapshotWriter& writer,
                             const obs::HealthSnapshot& health,
                             std::size_t window) {
-  const auto snap = obs::MetricsRegistry::global().snapshot();
-  if (!writer.write(render_metrics(writer.path(), snap, health), window)) {
+  std::string doc;
+  {
+    obs::StageSpan span("sink.render");
+    doc = render_metrics(writer.path(),
+                         obs::MetricsRegistry::global().snapshot(), health);
+  }
+  obs::StageSpan span("sink.write");
+  if (!writer.write(doc, window)) {
     std::fprintf(stderr, "error: cannot write metrics: %s\n",
                  writer.last_error().c_str());
   }
@@ -413,6 +419,7 @@ void write_metrics_snapshot(obs::SnapshotWriter& writer,
 /// it) when the write failed.
 bool write_alerts_document(obs::SnapshotWriter& writer,
                            const std::string& document, std::size_t window) {
+  obs::StageSpan span("sink.write");
   if (writer.write(document, window)) return true;
   std::fprintf(stderr, "error: cannot write alerts: %s\n",
                writer.last_error().c_str());
@@ -662,37 +669,32 @@ int cmd_watch(const std::map<std::string, std::string>& flags) {
       static_cast<std::size_t>(parse_count(flags, "rotate-keep", 3));
 
   // --resume: restore the whole daemon — health registry, pinned models,
-  // engine state and the capture cursor — from the newest intact checkpoint
-  // generation (FILE strictly, FILE.prev leniently as fallback).
+  // engine state and the capture cursor — from the last committed
+  // checkpoint in the journal (a torn tail after it is ignored).
   std::optional<WatchCheckpoint> resume_cp;
+  JournalExtent resume_extent;
   if (resuming) {
-    std::string source;
-    resume_cp.emplace(load_checkpoint_resilient(flags.at("resume"), &source));
+    const std::string& source = flags.at("resume");
+    resume_cp.emplace(load_checkpoint_file(source, &resume_extent));
+    std::error_code ec;
+    const auto file_bytes = std::filesystem::file_size(source, ec);
+    const std::uint64_t tail =
+        ec ? 0 : static_cast<std::uint64_t>(file_bytes) -
+                     resume_extent.committed_bytes;
     std::fprintf(stderr,
                  "resume: restored %s (window %zu, input offset %llu,"
-                 " models v%llu)\n",
+                 " models v%llu; %llu uncommitted tail bytes ignored)\n",
                  source.c_str(), resume_cp->engine.windows,
                  static_cast<unsigned long long>(resume_cp->input_offset),
-                 static_cast<unsigned long long>(resume_cp->model_version));
+                 static_cast<unsigned long long>(resume_cp->model_version),
+                 static_cast<unsigned long long>(tail));
     obs::health().restore(resume_cp->health);
     // The checkpointed deterministic grid wins over CLI flags: the
     // continuation must share window geometry, retrain cadence and
     // assembler behavior with the run that wrote the checkpoint, or the
     // byte-identity guarantee is meaningless. Operational knobs (--follow,
     // --max-windows, --until-s, snapshot paths) stay CLI-provided.
-    opts.window_us = resume_cp->options.window_us;
-    opts.retrain_every_windows =
-        static_cast<std::size_t>(resume_cp->options.retrain_every_windows);
-    opts.assembler.base.burst_gap_us = resume_cp->options.burst_gap_us;
-    opts.assembler.base.drop_infrastructure =
-        resume_cp->options.drop_infrastructure;
-    opts.assembler.base.max_ts_regression_us =
-        resume_cp->options.max_ts_regression_us;
-    opts.assembler.reorder_horizon_us = resume_cp->options.reorder_horizon_us;
-    opts.assembler.max_open_flows =
-        static_cast<std::size_t>(resume_cp->options.max_open_flows);
-    opts.assembler.max_buffered_packets =
-        static_cast<std::size_t>(resume_cp->options.max_buffered_packets);
+    apply_checkpoint_options(resume_cp->options, opts);
   }
 
   // The handle starts from the checkpoint's embedded .bbm image (version
@@ -714,6 +716,18 @@ int cmd_watch(const std::map<std::string, std::string>& flags) {
   WatchEngine engine(handle, make_resolver(), opts);
   if (resuming) {
     engine.import_state(std::move(resume_cp->engine));
+  }
+  // --checkpoint naming the journal --resume loaded continues it (its torn
+  // tail truncated); any other path starts a new journal.
+  std::optional<CheckpointJournal> journal;
+  if (!checkpoint_path.empty()) {
+    std::error_code ec;
+    if (resuming &&
+        std::filesystem::equivalent(checkpoint_path, flags.at("resume"), ec)) {
+      journal.emplace(checkpoint_path, resume_extent);
+    } else {
+      journal.emplace(checkpoint_path);
+    }
   }
 
   const auto& catalog = testbed::Catalog::standard();
@@ -758,62 +772,41 @@ int cmd_watch(const std::map<std::string, std::string>& flags) {
   struct CheckpointTelemetry {
     bool written = false;
     std::size_t window = 0;
-    std::uint64_t bytes = 0;
     double write_ms = 0.0;
     std::chrono::steady_clock::time_point at{};
   } ck;
-  // The embedded model image changes only with the generation: serialize it
-  // once per model version, not once per checkpoint.
-  std::string models_image;
-  std::optional<std::uint64_t> models_image_version;
   // `alerts_json` is the rendered report of `all_alerts` under `health`.
   auto write_checkpoint_now = [&](std::size_t window_index,
                                   const obs::HealthSnapshot& health,
                                   std::string alerts_json) {
-    if (checkpoint_path.empty()) return;
-    if (models_image_version != handle.version()) {
-      models_image = save_models_binary(*handle.acquire());
-      models_image_version = handle.version();
-    }
+    if (!journal) return;
     WatchCheckpoint cp;
-    cp.options.window_us = opts.window_us;
-    cp.options.retrain_every_windows = opts.retrain_every_windows;
-    cp.options.burst_gap_us = opts.assembler.base.burst_gap_us;
-    cp.options.drop_infrastructure = opts.assembler.base.drop_infrastructure;
-    cp.options.max_ts_regression_us = opts.assembler.base.max_ts_regression_us;
-    cp.options.reorder_horizon_us = opts.assembler.reorder_horizon_us;
-    cp.options.max_open_flows = opts.assembler.max_open_flows;
-    cp.options.max_buffered_packets = opts.assembler.max_buffered_packets;
-    cp.engine = engine.export_state();
-    cp.models_image = std::move(models_image);
-    cp.model_version = handle.version();
+    cp.options = checkpoint_options(opts);
     cp.input_offset = input_offset;
     cp.alerts_json = std::move(alerts_json);
     cp.health = health;
     const auto t_begin = std::chrono::steady_clock::now();
-    obs::crash_point("window.before_checkpoint");
     std::string error;
-    const bool written = write_checkpoint_rotating(checkpoint_path, cp, &error);
-    models_image = std::move(cp.models_image);
-    if (!written) {
+    if (!journal->commit(std::move(cp), engine, handle, &error)) {
       std::fprintf(stderr, "error: cannot write checkpoint: %s\n",
                    error.c_str());
       obs::health().degrade("watch.checkpoint",
                             "checkpoint-write-failed: " + error);
       return;
     }
-    obs::crash_point("window.after_checkpoint");
     ck.written = true;
     ck.window = window_index;
-    ck.write_ms = std::chrono::duration<double, std::milli>(
-                      std::chrono::steady_clock::now() - t_begin)
-                      .count();
     ck.at = std::chrono::steady_clock::now();
-    std::error_code ec;
-    const auto size = std::filesystem::file_size(checkpoint_path, ec);
-    ck.bytes = ec ? 0 : static_cast<std::uint64_t>(size);
+    ck.write_ms =
+        std::chrono::duration<double, std::milli>(ck.at - t_begin).count();
     obs::counter("checkpoint.writes").inc();
-    obs::gauge("checkpoint.bytes").set(static_cast<double>(ck.bytes));
+    if (journal->last_commit_compacted()) {
+      obs::counter("checkpoint.compactions").inc();
+    }
+    obs::gauge("checkpoint.bytes")
+        .set(static_cast<double>(journal->journal_bytes()));
+    obs::gauge("checkpoint.appended_bytes")
+        .set(static_cast<double>(journal->last_commit_bytes()));
     obs::gauge("checkpoint.last_window")
         .set(static_cast<double>(window_index));
     obs::histogram("checkpoint.write_ms").observe(ck.write_ms);
@@ -838,10 +831,11 @@ int cmd_watch(const std::map<std::string, std::string>& flags) {
     all_alerts.insert(all_alerts.end(), r.alerts.begin(), r.alerts.end());
     const obs::HealthSnapshot health = obs::health().snapshot();
     const bool checkpoint_due =
-        !checkpoint_path.empty() && (r.index + 1) % checkpoint_every == 0;
+        journal && (r.index + 1) % checkpoint_every == 0;
     // One render serves the alerts snapshot and the checkpoint.
     std::string alerts_json;
     if (alerts_writer || checkpoint_due) {
+      obs::StageSpan span("sink.render");
       alerts_json = alerts_to_json(all_alerts, &health);
     }
     if (alerts_writer) {
@@ -853,12 +847,15 @@ int cmd_watch(const std::map<std::string, std::string>& flags) {
         // generation reports only what follows. Concatenating the archives
         // with the live file reproduces the unrotated report exactly.
         all_alerts.clear();
-        if (checkpoint_due) alerts_json = alerts_to_json(all_alerts, &health);
+        if (checkpoint_due) {
+          obs::StageSpan span("sink.render");
+          alerts_json = alerts_to_json(all_alerts, &health);
+        }
       }
     }
     if (checkpoint_due) {
       // The window sink is the engine's quiescent point (no retrain in
-      // flight), so export_state() here is exact; the checkpoint cadence
+      // flight), so the journal's export here is exact; the checkpoint cadence
       // keys off the absolute window index so interrupted and uninterrupted
       // runs checkpoint at identical instants.
       write_checkpoint_now(r.index, health, std::move(alerts_json));
@@ -924,7 +921,9 @@ int cmd_watch(const std::map<std::string, std::string>& flags) {
       // window widths — the daemon is alive but no longer durable.
       js << ",\"checkpoint\":";
       if (ck.written) {
-        js << "{\"window\":" << ck.window << ",\"bytes\":" << ck.bytes
+        js << "{\"window\":" << ck.window
+           << ",\"appended_bytes\":" << journal->last_commit_bytes()
+           << ",\"journal_bytes\":" << journal->journal_bytes()
            << ",\"write_ms\":" << ck.write_ms << ",\"age_s\":"
            << std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                             ck.at)
@@ -1118,7 +1117,7 @@ int cmd_watch(const std::map<std::string, std::string>& flags) {
       write_metrics_snapshot(*metrics_writer, health, last_window);
     }
   }
-  if (!checkpoint_path.empty()) {
+  if (journal) {
     // Final checkpoint after the stream is fully drained, regardless of
     // cadence: a --resume from it knows the run completed.
     const obs::HealthSnapshot health = obs::health().snapshot();
